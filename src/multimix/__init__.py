@@ -71,6 +71,7 @@ from .ple import (
     fit,
     learn_and_sample,
     pseudolikelihood_loss,
+    row_norms,
     trajectory_kl,
 )
 from .rng import make_rng

@@ -101,7 +101,6 @@ def _fit_config(args) -> PleConfig:
         max_iters=args.max_iters,
         tolerance=args.tolerance,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -183,7 +182,6 @@ def _add_fit_options(sub) -> None:
     sub.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
     sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
     sub.set_defaults(func=_cmd_fit)
 
 

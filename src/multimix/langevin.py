@@ -455,8 +455,10 @@ class LmcConfig:
 class LmcResult:
     """Terminal points, one per chain, plus which chains tripped the guard.
 
-    A flagged chain froze at its first offending state and took no further
-    steps, so its row records where the blow-up happened.
+    A chain is flagged when a coordinate leaves [-DIVERGENCE_GUARD,
+    DIVERGENCE_GUARD] or turns non-finite. A flagged chain froze at its first
+    offending state and took no further steps, so its row records where the
+    blow-up happened.
     """
 
     samples: SampleSet
@@ -502,7 +504,8 @@ def lmc_run(init, score: ScoreField, cfg: LmcConfig) -> LmcResult:
                 break
             drift = np.asarray(score.evaluate(x[live]))
             x[live] = x[live] + cfg.step * drift + spread * noise[live]
-        flagged |= np.abs(x).max(axis=1) > DIVERGENCE_GUARD
+        # written as a negated <= so that a non-finite row is flagged too
+        flagged |= ~(np.abs(x).max(axis=1) <= DIVERGENCE_GUARD)
     return LmcResult(SampleSet(x), flagged)
 
 

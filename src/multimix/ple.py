@@ -4,15 +4,17 @@ The estimator maximizes the product of per-coordinate conditional likelihoods
 over models whose rows satisfy an l1 budget (coupling row plus external
 field). Fitting is projected gradient descent: step, re-symmetrize, project
 each row onto the l1 ball, with backtracking so the objective never increases.
-The companion diagnostics measure how far the fitted conditionals are from the
-truth (per-coordinate KL) and push that error through trajectory laws and
-terminal-law certificates.
+The objective depends on the data only through each distinct +-1 row and its
+frequency, so the fit folds the samples into weighted distinct rows once and
+iterates on those; one weighted margin kernel serves the loss and the
+gradient. The companion diagnostics measure how far the fitted conditionals
+are from the truth (per-coordinate KL) and push that error through trajectory
+laws and terminal-law certificates.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +55,6 @@ class PleConfig:
     max_iters: int = 5000
     tolerance: float = 1e-6
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -64,8 +65,6 @@ class PleConfig:
             raise ValueError("need at least one iteration")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least one")
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,8 @@ def row_norms(model: IsingModel) -> np.ndarray:
 
 def _spin_matrix(samples: SampleSet | np.ndarray, n: int | None = None) -> np.ndarray:
     X = samples.data if isinstance(samples, SampleSet) else np.asarray(samples, float)
-    if X.ndim != 2:
-        raise ValueError("samples must form a matrix")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError("samples must form a nonempty matrix")
     if n is not None and X.shape[1] != n:
         raise ValueError(f"samples have dimension {X.shape[1]}, expected {n}")
     if not np.all(np.abs(X) == 1.0):
@@ -126,42 +125,38 @@ def _spin_matrix(samples: SampleSet | np.ndarray, n: int | None = None) -> np.nd
     return X
 
 
+def _margins(J: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """u[r, i] = 2 (J_i . x_r + b_i) x_ri; diag(J) = 0 keeps the
+    self-interaction out of the dot product."""
+    return 2.0 * (X @ J.T + b) * X
+
+
+def _weighted_loss(u: np.ndarray, w: np.ndarray) -> float:
+    return float(w @ np.logaddexp(0.0, -u).sum(axis=1))
+
+
+def _weighted_gradient(u: np.ndarray, w: np.ndarray, X: np.ndarray):
+    W = -2.0 * w[:, None] * expit(-u) * X
+    GJ = W.T @ X
+    np.fill_diagonal(GJ, 0.0)
+    return GJ, W.sum(axis=0)
+
+
 def pseudolikelihood_loss(model: IsingModel, samples) -> float:
     """Negative average log conditional likelihood, summed over coordinates.
 
-    Each term is softplus(-2 (J_i . x + b_i) x_i); diag(J) = 0 keeps the
-    self-interaction out of the dot product.
+    Each term is softplus(-u) with u = 2 (J_i . x + b_i) x_i.
     """
     X = _spin_matrix(samples, model.n)
-    u = 2.0 * (X @ model.J.T + model.b) * X
-    return float(np.logaddexp(0.0, -u).sum(axis=1).mean())
+    return _weighted_loss(_margins(model.J, model.b, X), np.full(len(X), 1.0 / len(X)))
 
 
-def pseudolikelihood_gradient(model: IsingModel, samples, threads: int = 1):
+def pseudolikelihood_gradient(model: IsingModel, samples):
     """Analytic gradient of the loss in (J, b); the J block is not yet
     symmetrized (rows are independent logistic problems)."""
     X = _spin_matrix(samples, model.n)
-    u = 2.0 * (X @ model.J.T + model.b) * X
-    W = (-2.0 / X.shape[0]) * (expit(-u) * X)
-    n = model.n
-    if threads > 1:
-        GJ = np.empty((n, n))
-        blocks = np.array_split(np.arange(n), threads)
-        # coordinates are independent until the symmetrization barrier; each
-        # worker fills its own row block
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(lambda blk: (blk, W[:, blk].T @ X), blk)
-                for blk in blocks
-                if blk.size
-            ]
-            for fut in futures:
-                blk, rows = fut.result()
-                GJ[blk] = rows
-    else:
-        GJ = W.T @ X
-    np.fill_diagonal(GJ, 0.0)
-    return GJ, W.sum(axis=0)
+    u = _margins(model.J, model.b, X)
+    return _weighted_gradient(u, np.full(len(X), 1.0 / len(X)), X)
 
 
 def _project_rows(J: np.ndarray, b: np.ndarray, radius: float):
@@ -180,11 +175,6 @@ def _project_rows(J: np.ndarray, b: np.ndarray, radius: float):
     return out[:, :-1], out[:, -1]
 
 
-def _loss_arrays(J: np.ndarray, b: np.ndarray, X: np.ndarray) -> float:
-    u = 2.0 * (X @ J.T + b) * X
-    return float(np.logaddexp(0.0, -u).sum(axis=1).mean())
-
-
 def fit(samples, cfg: PleConfig) -> FitReport:
     """Projected-gradient pseudolikelihood fit inside the row-l1 ball.
 
@@ -193,21 +183,28 @@ def fit(samples, cfg: PleConfig) -> FitReport:
     halves the step until the objective does not increase. Convergence is
     declared when the projected update, scaled back by the step, drops under
     the tolerance.
+
+    The samples are validated once and folded into their distinct rows, each
+    weighted by its frequency; the weighted objective equals the sample
+    average, so the result does not depend on row order or on repeating the
+    whole sample. The margins of each accepted iterate feed the next
+    gradient.
     """
-    X = _spin_matrix(samples)
-    m, n = X.shape
+    X, counts = np.unique(_spin_matrix(samples), axis=0, return_counts=True)
+    w = counts / counts.sum()
+    n = X.shape[1]
     # smoothness of the per-row logistic loss is bounded by the mean squared
-    # sample norm (the 2x design factor cancels against sigma' <= 1/4)
-    base_step = cfg.step
-    if base_step is None:
-        base_step = 0.5 / max(float((X**2).sum(axis=1).mean()), 1e-12)
+    # sample norm, n for spins (the 2x design factor cancels against
+    # sigma' <= 1/4)
+    base_step = cfg.step if cfg.step is not None else 0.5 / n
     J = np.zeros((n, n))
     b = np.zeros(n)
-    loss = _loss_arrays(J, b, X)
+    u = _margins(J, b, X)
+    loss = _weighted_loss(u, w)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        GJ, gb = pseudolikelihood_gradient(IsingModel(J, b), X, threads=cfg.threads)
+        GJ, gb = _weighted_gradient(u, w, X)
         step = base_step
         for _ in range(40):
             Jn = J - step * GJ
@@ -215,12 +212,13 @@ def fit(samples, cfg: PleConfig) -> FitReport:
             np.fill_diagonal(Jn, 0.0)
             Jn, bn = _project_rows(Jn, b - step * gb, cfg.radius)
             Jn = 0.5 * (Jn + Jn.T)
-            new_loss = _loss_arrays(Jn, bn, X)
+            un = _margins(Jn, bn, X)
+            new_loss = _weighted_loss(un, w)
             if new_loss <= loss + 1e-12:
                 break
             step *= 0.5
         moved = math.sqrt(((Jn - J) ** 2).sum() + ((bn - b) ** 2).sum()) / step
-        J, b, loss = Jn, bn, new_loss
+        J, b, u, loss = Jn, bn, un, new_loss
         if moved <= cfg.tolerance:
             converged = True
             break
@@ -230,7 +228,7 @@ def fit(samples, cfg: PleConfig) -> FitReport:
     if worst > cfg.radius:
         J *= cfg.radius / worst
         b *= cfg.radius / worst
-        loss = _loss_arrays(J, b, X)
+        loss = _weighted_loss(_margins(J, b, X), w)
     return FitReport(
         model=IsingModel(J, b),
         radius=cfg.radius,

@@ -271,6 +271,28 @@ def test_divergence_guard_flags_and_freezes():
     assert np.isfinite(short.samples.data).all()
 
 
+def test_divergence_guard_flags_a_nan_chain():
+    calls = []
+
+    def score(X):
+        # like scipy's check_finite, refuse non-finite input outright
+        if not np.isfinite(X).all():
+            raise ValueError("score evaluated at a non-finite state")
+        out = -X
+        if not calls:
+            out[0] = np.nan  # chain 0 breaks on the first step only
+        calls.append(len(X))
+        return out
+
+    cfg = LmcConfig(step=0.1, horizon=1.0, seed=5, chains=6)
+    res = lmc_run(np.zeros(2), ScoreField(fn=score, kind="exact"), cfg)
+    assert res.flagged.tolist() == [True] + [False] * 5
+    assert np.isnan(res.samples.data[0]).all()
+    assert np.isfinite(res.samples.data[1:]).all()
+    # the broken chain never reaches the score again
+    assert calls == [6] + [5] * (cfg.steps - 1)
+
+
 def test_submixture_weights_and_errors():
     m = three_component_model()
     sub = submixture(m, [0, 2])

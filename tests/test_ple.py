@@ -18,6 +18,9 @@ from multimix.ple import (
     FitReport,
     LearnReport,
     PleConfig,
+    _margins,
+    _weighted_gradient,
+    _weighted_loss,
     certify_terminal_tv,
     conditional_kl_diagnostic,
     fit,
@@ -99,6 +102,12 @@ def test_truth_beats_perturbations_on_large_samples(six_spin):
     assert base < pseudolikelihood_loss(IsingModel(truth.J, bp), X)
 
 
+def reference_loss(J, b, X):
+    """The objective written row by row over the raw samples."""
+    u = 2.0 * (X @ J.T + b) * X
+    return np.logaddexp(0.0, -u).sum(axis=1).mean()
+
+
 def test_gradient_matches_finite_differences():
     model = random_model(42, 5, coupling=0.15 * math.sqrt(5))
     X = np.where(make_rng(43, "default").random((200, 5)) < 0.5, 1.0, -1.0)
@@ -106,8 +115,7 @@ def test_gradient_matches_finite_differences():
     h = 1e-6
 
     def loss_at(J, b):
-        u = 2.0 * (X @ J.T + b) * X
-        return np.logaddexp(0.0, -u).sum(axis=1).mean()
+        return reference_loss(J, b, X)
 
     worst = 0.0
     for i in range(5):
@@ -127,14 +135,22 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-5
 
 
-def test_threaded_gradient_agrees():
+def test_weighted_kernel_on_distinct_rows_matches_raw_rows():
     model = random_model(42, 5, coupling=0.15 * math.sqrt(5))
     X = np.where(make_rng(43, "default").random((200, 5)) < 0.5, 1.0, -1.0)
-    GJ, gb = pseudolikelihood_gradient(model, X)
-    GJ3, gb3 = pseudolikelihood_gradient(model, X, threads=3)
-    # same sums in a different BLAS blocking; only round-off apart
-    assert np.allclose(GJ, GJ3, atol=1e-15)
-    assert np.allclose(gb, gb3, atol=1e-15)
+    rows, counts = np.unique(X, axis=0, return_counts=True)
+    assert len(rows) < len(X)
+    w = counts / counts.sum()
+    u = _margins(model.J, model.b, rows)
+    assert abs(_weighted_loss(u, w) - reference_loss(model.J, model.b, X)) <= 1e-13
+    # raw-row gradient: rows are independent logistic problems
+    u_raw = 2.0 * (X @ model.J.T + model.b) * X
+    W = (-2.0 / len(X)) * (expit(-u_raw) * X)
+    GJ_ref = W.T @ X
+    np.fill_diagonal(GJ_ref, 0.0)
+    GJ, gb = _weighted_gradient(u, w, rows)
+    assert np.abs(GJ - GJ_ref).max() <= 1e-13
+    assert np.abs(gb - W.sum(axis=0)).max() <= 1e-13
 
 
 def test_loss_input_validation():
@@ -142,6 +158,10 @@ def test_loss_input_validation():
         pseudolikelihood_loss(zero_model(4), np.ones((3, 5)))
     with pytest.raises(ValueError):
         pseudolikelihood_loss(zero_model(4), np.full((3, 4), 0.5))
+    with pytest.raises(ValueError):
+        pseudolikelihood_loss(zero_model(4), np.ones((0, 4)))
+    with pytest.raises(ValueError):
+        fit(np.ones((0, 4)), PleConfig(radius=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +215,40 @@ def test_non_convergence_is_flagged(six_spin):
     assert report.iterations == 1
 
 
+@pytest.fixture(scope="module")
+def c10_fixture():
+    """The c10 acceptance fixture: n=8 rank-1 truth, model seed 4, 20 000
+    samples drawn with the fit seed 0."""
+    truth = low_rank_ising(8, 1, [1.5], 0.2, seed=4)
+    cfg = PleConfig(radius=float(row_norms(truth).max()), seed=0)
+    return sample_exact(truth, 20_000, cfg.seed), cfg
+
+
+def test_c10_fit_iteration_count(c10_fixture):
+    X, cfg = c10_fixture
+    report = fit(SampleSet(X), cfg)
+    assert report.converged
+    assert report.iterations == 968
+
+
+def test_fit_ignores_row_order_and_repetition(c10_fixture):
+    X, cfg = c10_fixture
+    base = fit(X, cfg)
+    perm = make_rng(12, "default").permutation(len(X))
+    for variant in (X[perm], np.vstack([X, X])):
+        other = fit(variant, cfg)
+        assert np.array_equal(other.model.J, base.model.J)
+        assert np.array_equal(other.model.b, base.model.b)
+        assert other.objective == base.objective
+        assert other.iterations == base.iterations
+
+
 def test_config_validation():
     for bad in (
         dict(radius=0.0),
         dict(radius=1.0, step=0.0),
         dict(radius=1.0, max_iters=0),
         dict(radius=1.0, tolerance=0.0),
-        dict(radius=1.0, threads=0),
     ):
         with pytest.raises(ValueError):
             PleConfig(**bad)
