@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +43,6 @@ from .ising import (
     load_ising_model,
     low_rank_ising,
     mean_field_potts,
-    potts_digits,
     sample_exact,
 )
 from .langevin import (
@@ -56,15 +56,10 @@ from .langevin import (
     submixture_score,
     submixture_score_error,
 )
-from .measures import FiniteDistribution, SampleSet, tv_distance
+from .measures import SampleSet
 from .ple import PleConfig, learn_and_sample, row_norms
 from .rng import make_rng
-from .spectral import (
-    GeneratorMatrix,
-    balance_statistic,
-    build_glauber_generator,
-    eigendecompose,
-)
+from .spectral import balance_statistic, build_glauber_generator, eigendecompose
 
 GAP_TRANSFER = math.exp(-6.0)
 
@@ -102,6 +97,12 @@ class ExperimentConfig:
             raise ParseError(f"unknown experiment {self.name!r}")
         if not self.seeds:
             raise ParseError(f"experiment {self.name!r} declares no seeds")
+        unknown = sorted(set(self.params) - PARAMETERS[self.name])
+        if unknown:
+            raise ParseError(
+                f"experiment {self.name!r} has unknown parameter(s) "
+                f"{', '.join(map(repr, unknown))}; known: {sorted(PARAMETERS[self.name])}"
+            )
 
 
 class _Runner:
@@ -181,32 +182,6 @@ def _projection_tv(samples: np.ndarray, model: MixtureModel, bins: int = 60) -> 
     return 0.5 * float(np.abs(emp - _mixture_bin_masses(model, edges)).sum())
 
 
-def _potts_generator(pi: FiniteDistribution, n: int, q: int) -> GeneratorMatrix:
-    # same symmetrized heat-bath construction as the spin generator, with
-    # single-site color resampling as the neighbor structure
-    m = pi.m
-    if q**n != m:
-        raise ValueError("state count does not match the declared lattice")
-    p = pi.probs
-    sq = np.sqrt(p)
-    digits = potts_digits(n, q)
-    powers = q ** np.arange(n)
-    idx = np.arange(m)
-    A = np.zeros((m, m))
-    diag = np.zeros(m)
-    for i in range(n):
-        base = idx - digits[:, i] * powers[i]
-        group = base[:, None] + np.arange(q)[None, :] * powers[i]
-        z = p[group].sum(axis=1)
-        for c in range(q):
-            nb = group[:, c]
-            keep = nb != idx
-            A[idx[keep], nb[keep]] = -sq[keep] * sq[nb[keep]] / z[keep]
-        diag += (z - p) / z
-    A[idx, idx] = diag
-    return GeneratorMatrix(A=A, pi=pi)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -277,10 +252,11 @@ def _exp_cw_gap_scaling(params, seeds, runner):
         return task
 
     rows = runner.map([point(n) for n in sweep])
-    lam2 = {int(r.parameters.split()[0][2:]): r.value for r in rows if r.metric == "lambda2"}
+    # the runner returns rows in submission order: one lambda2 per sweep point
+    lam2 = [r.value for r in rows if r.metric == "lambda2"]
     ok = True
-    for a, b in zip(sweep, sweep[1:]):
-        ratio = lam2[b] / lam2[a]
+    for b, lo, hi in zip(sweep[1:], lam2, lam2[1:]):
+        ratio = hi / lo
         rows.append(
             ResultRow("cw-gap-scaling", f"n={b} beta={beta}", "lambda2_ratio", ratio)
         )
@@ -462,10 +438,10 @@ def _exp_potts_gap(params, seeds, runner):
         stride = max(1, net.count // gap_sample)
         picks = sorted(set(range(0, net.count, stride)) | {int(np.argmax(np.linalg.norm(net.fields, axis=1)))})
         gaps = [
-            float(eigendecompose(_potts_generator(refined[i], n, q)).eigenvalues[1])
+            float(eigendecompose(build_glauber_generator(refined[i], q)).eigenvalues[1])
             for i in picks
         ]
-        full = eigendecompose(_potts_generator(pi, n, q))
+        full = eigendecompose(build_glauber_generator(pi, q))
         k_eff = min(net.count, pi.m - 1)
         mixture_gap = float(full.eigenvalues[k_eff])
         label = f"n={n} q={q} beta={beta}"
@@ -557,6 +533,21 @@ CATALOG = {
     "learn-ising-e2e": _exp_learn_ising_e2e,
     "potts-gap": _exp_potts_gap,
     "min-weight-free": _exp_min_weight_free,
+}
+
+# The parameter keys each experiment reads; any other key is rejected so a
+# misspelt override cannot silently fall back to the default.
+PARAMETERS = {
+    "balance-concentration": frozenset({"n", "k", "m", "redraws", "slope_window", "model"}),
+    "cw-gap-scaling": frozenset({"n", "beta", "ratio_cap"}),
+    "langevin-metastability": frozenset({"step", "horizon", "chains", "stationary_samples"}),
+    "score-robustness": frozenset({"eps_sc", "step", "horizon", "chains"}),
+    "hs-sandwich": frozenset({"n", "beta", "c"}),
+    "learn-ising-e2e": frozenset(
+        {"n", "top_eigenvalue", "m_fit", "m_init", "horizon", "model_seed"}
+    ),
+    "potts-gap": frozenset({"n", "q", "beta", "c", "component_gap_sample"}),
+    "min-weight-free": frozenset({"tiny_weight", "step", "horizon", "chains", "shift_cap"}),
 }
 
 
@@ -667,7 +658,8 @@ def run(
     path = Path(config_path)
     try:
         configs, out = _parse_config(path.read_text())
-    except (FileNotFoundError, ParseError):
+    except (FileNotFoundError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if out_override is not None:
         out_path = Path(out_override)

@@ -167,7 +167,7 @@ def _enumeration(split: SpectralSplit):
     eigenbasis, by full state enumeration of the split's model."""
     model = split.model
     if isinstance(model, PottsModel):
-        if model.n * math.log2(model.q) > 14.0 + 1e-9:
+        if model.q**model.n > MAX_EXACT_STATES:
             raise CapacityError(f"{model.q}**{model.n} states exceed the exact cap")
         digits = potts_digits(model.n, model.q)
         if split.r:
@@ -179,7 +179,7 @@ def _enumeration(split: SpectralSplit):
             proj = np.zeros((digits.shape[0], 0))
         full = potts_energy_vector(model)
     else:
-        if model.n > 14:
+        if 1 << model.n > MAX_EXACT_STATES:
             raise CapacityError(f"2**{model.n} states exceed the exact cap")
         S = states_matrix(model.n)
         proj = S @ split.basis

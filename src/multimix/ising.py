@@ -8,6 +8,9 @@ site i.
 Couplings use the convention pi(x) proportional to exp((1/2) x'Jx + b'x)
 with J symmetric. The diagonal of J is zeroed at construction: on {-1,+1}^n
 it only shifts the normalizer, and dropping it makes J identifiable.
+
+The samplers here run the dynamics; its rate matrix and spectrum come from
+``spectral.build_glauber_generator``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .measures import FiniteDistribution, _readonly
 from .rng import make_rng
 
 MAX_EXACT_SPINS = 20
-MAX_DENSE_STATES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -434,54 +436,6 @@ def censored_ensemble_discrete(model: IsingModel, X0, steps: int, seed: int) -> 
         neg = X.sum(axis=1) < 0.0
         X[neg] *= -1.0
     return X
-
-
-# ---------------------------------------------------------------------------
-# dense kernels (small systems)
-
-
-def _check_dense(n: int) -> int:
-    m = 1 << n
-    if m > MAX_DENSE_STATES:
-        raise CapacityError(f"dense kernel needs 2^{n} states, cap is {MAX_DENSE_STATES}")
-    return m
-
-
-def flip_probabilities(model: IsingModel) -> np.ndarray:
-    """(m, n) matrix of heat-bath flip probabilities, entry (x, i) giving the
-    chance that a resample of coordinate i leaves state x for state x^i."""
-    m = _check_dense(model.n)
-    S = states_matrix(model.n)
-    p_plus = expit(2.0 * (S @ model.J + model.b))  # P(new spin = +1)
-    return np.where(S > 0, 1.0 - p_plus, p_plus)
-
-
-def discrete_kernel(model: IsingModel) -> np.ndarray:
-    """One-step transition matrix: uniform coordinate, heat-bath resample."""
-    m = _check_dense(model.n)
-    flips = flip_probabilities(model)
-    idx = np.arange(m)
-    P = np.zeros((m, m))
-    for i in range(model.n):
-        P[idx, idx ^ (1 << i)] += flips[:, i] / model.n
-    P[idx, idx] += 1.0 - flips.sum(axis=1) / model.n
-    return P
-
-
-def rate_matrix(model: IsingModel) -> np.ndarray:
-    """Continuous-time generator with unit-rate coordinate clocks.
-
-    Row sums vanish; the off-diagonal entry (x, x^i) is the heat-bath flip
-    probability pi(x^i) / (pi(x) + pi(x^i)).
-    """
-    m = _check_dense(model.n)
-    flips = flip_probabilities(model)
-    idx = np.arange(m)
-    L = np.zeros((m, m))
-    for i in range(model.n):
-        L[idx, idx ^ (1 << i)] += flips[:, i]
-    L[idx, idx] = -flips.sum(axis=1)
-    return L
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import CapacityError
 from .ising import (
     IsingModel,
     MAX_EXACT_SPINS,
-    discrete_kernel,
     empirical_distribution,
     exact_distribution,
     glauber_ensemble_continuous,
@@ -272,9 +271,14 @@ def trajectory_kl(truth: IsingModel, fitted: IsingModel, steps: int) -> float:
         raise CapacityError(
             f"trajectory law over {m}^{steps + 1} tuples exceeds the exact cap"
         )
+
+    def kernel(model):
+        # one discrete update (uniform coordinate, heat-bath resample)
+        L = build_glauber_generator(exact_distribution(model)).rate_matrix()
+        return np.eye(m) + L / model.n
+
     pi = exact_distribution(truth).probs
-    P = discrete_kernel(truth)
-    Q = discrete_kernel(fitted)
+    P, Q = kernel(truth), kernel(fitted)
     tp = pi.copy()
     tq = pi.copy()
     for _ in range(steps):

@@ -39,7 +39,3 @@ def make_rng(seed: int, stream: str = "default") -> np.random.Generator:
             key = (key * 131 + ch) % (1 << 64)
     return np.random.Generator(np.random.Philox(key=[int(seed) & ((1 << 64) - 1), key]))
 
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split off independent child generators (for per-replica streams)."""
-    return [np.random.Generator(bg) for bg in rng.bit_generator.spawn(count)]

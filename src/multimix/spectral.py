@@ -1,13 +1,16 @@
-"""Spectral analysis of heat-bath Glauber dynamics on spin spaces.
+"""Spectral analysis of heat-bath Glauber dynamics on spin and q-colour spaces.
 
 The continuous-time generator L acts on functions, with unit-rate coordinate
-clocks and heat-bath flip rates pi(x^i) / (pi(x) + pi(x^i)). Everything here
-works with its symmetrization A = D^{1/2} (-L) D^{-1/2}, D = diag(pi): A is
-symmetric positive semidefinite, its eigenvalues are the relaxation rates,
-and D^{-1/2} maps its eigenvectors to eigenfunctions of -L that are
-orthonormal in L^2(pi). The bottom eigenfunction is the constant 1.
+clocks and heat-bath rates pi(y) / pi(G) for a single-site move x -> y inside
+the group G of states that agree with x off that site (for spins, the flip
+rate pi(x^i) / (pi(x) + pi(x^i))). This module is the one place that builds
+it. Everything here works with its symmetrization A = D^{1/2} (-L) D^{-1/2},
+D = diag(pi): A is symmetric positive semidefinite, its eigenvalues are the
+relaxation rates, and D^{-1/2} maps its eigenvectors to eigenfunctions of -L
+that are orthonormal in L^2(pi). The bottom eigenfunction is the constant 1.
 
-State indexing matches the package convention (bit i of the index is spin i).
+State indexing matches the package convention: bit i of the index is spin i,
+and with q colours digit i (base q) is the colour of site i.
 """
 
 from __future__ import annotations
@@ -172,29 +175,41 @@ class ContractionReport:
         object.__setattr__(self, "bound", _readonly(self.bound))
 
 
-def build_glauber_generator(pi: FiniteDistribution) -> GeneratorMatrix:
-    """Symmetrized heat-bath generator for a stationary law on {-1,+1}^n.
+def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatrix:
+    """Symmetrized heat-bath generator for a stationary law on q values per site.
+
+    Each site carries a unit-rate clock and, when it rings, resamples its
+    value from pi conditioned on the other sites: the move x -> y within the
+    group G of states agreeing with x off that site has rate pi(y) / pi(G).
+    States are indexed in base q, digit i giving the value of site i; for
+    q = 2 that is the package spin convention (bit i is spin i).
 
     Parameters
     ----------
     pi : FiniteDistribution
-        Target law over all 2^n spin configurations. Must be strictly
-        positive: the heat-bath rates divide by pi(x) + pi(x^i), and a chain
-        restricted to a sub-support is a different object.
+        Target law over all q^n configurations, n derived from the state
+        count. Must be strictly positive: the heat-bath rates divide by
+        pi(G), and a chain restricted to a sub-support is a different object.
+    q : int
+        Values per site: 2 for spins, the colour count for Potts chains.
 
     Raises
     ------
     ValueError
-        If the state count is not a power of two or pi has zero entries.
+        If q < 2, the state count is not a power of q, or pi has zero entries.
     CapacityError
         Beyond 2^14 states (the dense-matrix limit).
     """
+    if q < 2:
+        raise ValueError(f"need at least 2 values per site, got q={q}")
     m = pi.m
-    n = m.bit_length() - 1
-    if 1 << n != m:
-        raise ValueError(f"state count {m} is not a power of two")
+    n, size = 0, 1
+    while size < m:
+        n, size = n + 1, size * q
+    if size != m:
+        raise ValueError(f"state count {m} is not a power of {'two' if q == 2 else q}")
     if n < 1:
-        raise ValueError("need at least one spin")
+        raise ValueError("need at least one site")
     if m > MAX_DENSE_STATES:
         raise CapacityError(f"{m} states exceed the dense cap of {MAX_DENSE_STATES}")
     if pi.probs.min() <= 0.0:
@@ -202,13 +217,17 @@ def build_glauber_generator(pi: FiniteDistribution) -> GeneratorMatrix:
     p = pi.probs
     sq = np.sqrt(p)
     idx = np.arange(m)
+    shifts = np.arange(1, q)[:, None]
     A = np.zeros((m, m))
     diag = np.zeros(m)
     for i in range(n):
-        nb = idx ^ (1 << i)
-        total = p + p[nb]
+        stride = q**i
+        digit = (idx // stride) % q
+        # row s holds each state's neighbour with site i moved on by s + 1
+        nb = idx + ((digit + shifts) % q - digit) * stride
+        total = p + p[nb].sum(axis=0)
         A[idx, nb] = -sq * sq[nb] / total
-        diag += p[nb] / total
+        diag += (p[nb] / total).sum(axis=0)
     A[idx, idx] = diag
     return GeneratorMatrix(A=A, pi=pi)
 

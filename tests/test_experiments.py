@@ -1,16 +1,19 @@
 """Experiment runner: config handling, exit codes, determinism, catalog."""
 
+import inspect
 import json
+import re
 
-import numpy as np
 import pytest
 
 from multimix.errors import ParseError
 from multimix.experiments import (
+    CATALOG,
     CSV_HEADER,
+    PARAMETERS,
     ExperimentConfig,
     ResultRow,
-    _potts_generator,
+    _parse_config,
     run,
 )
 from multimix.ising import curie_weiss, dump_ising_model, exact_distribution
@@ -61,6 +64,21 @@ def test_config_rejects_empty_seeds():
         ExperimentConfig(name="cw-gap-scaling", seeds=(), params={})
 
 
+def test_config_rejects_unknown_parameter():
+    with pytest.raises(ParseError, match="'betta'"):
+        ExperimentConfig(
+            name="cw-gap-scaling", seeds=(0,), params={"n": [5, 7], "betta": 3.0}
+        )
+
+
+def test_declared_parameters_match_what_each_experiment_reads():
+    for name, fn in CATALOG.items():
+        src = inspect.getsource(fn)
+        read = set(re.findall(r'params(?:\.get\(|\[)"(\w+)"', src))
+        read |= set(re.findall(r'"(\w+)" in params', src))
+        assert read == PARAMETERS[name], name
+
+
 # --- exit codes -----------------------------------------------------------
 
 
@@ -92,6 +110,25 @@ def test_malformed_configs_exit_2(tmp_path, payload):
     p = tmp_path / "bad.json"
     p.write_text(payload)
     assert run(p) == 2
+
+
+def test_misspelt_parameter_exits_2_before_any_experiment_runs(tmp_path, monkeypatch, capsys):
+    # a typo such as "betta" used to be dropped silently, running on the
+    # default beta and exiting 0
+    calls = []
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    p = write_config(
+        tmp_path,
+        [
+            {"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}},
+            {"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7], "betta": 3.0}},
+        ],
+    )
+    assert run(p) == 2
+    assert calls == []
+    assert "'betta'" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="'betta'"):
+        _parse_config(p.read_text())
 
 
 def test_empty_experiment_list_exits_0_with_header_only_csv(tmp_path):
@@ -394,23 +431,6 @@ def test_learn_ising_e2e_single_seed(tmp_path):
     assert metric(rows, "epsilon_hat", label)[0] <= 0.01
     assert metric(rows, "terminal_tv", label)[0] <= 0.15
     assert metric(rows, "converged", label)[0] == 1.0
-
-
-# --- the q-ary generator helper -------------------------------------------
-
-
-def test_binary_potts_generator_equals_spin_generator():
-    # two colors with little-endian digit indexing is exactly the spin chain
-    pi = exact_distribution(curie_weiss(4, 1.1))
-    spin = build_glauber_generator(pi)
-    qary = _potts_generator(pi, 4, 2)
-    assert np.abs(spin.A - qary.A).max() < 1e-14
-
-
-def test_potts_generator_rejects_wrong_lattice():
-    pi = exact_distribution(curie_weiss(4, 1.1))
-    with pytest.raises(ValueError, match="does not match"):
-        _potts_generator(pi, 4, 3)
 
 
 # --- shipped fixtures -----------------------------------------------------

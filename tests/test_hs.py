@@ -252,6 +252,14 @@ def test_enumeration_capacity():
         mixture_density(net, split, big)
 
 
+def test_potts_enumeration_capacity():
+    # 3**9 = 19683 colourings, past the 2**14 exact-enumeration cap
+    split = split_spectrum(mean_field_potts(9, 3, 1.2), 2.0)
+    assert split.r == 3
+    with pytest.raises(CapacityError, match=r"3\*\*9 states"):
+        build_field_net(split, 1.0, 9)
+
+
 # ---------------------------------------------------------------------------
 # exact refinement
 

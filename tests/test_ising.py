@@ -16,12 +16,10 @@ from multimix.ising import (
     censored_glauber_step,
     conditional_prob,
     curie_weiss,
-    discrete_kernel,
     dump_ising_model,
     dump_samples,
     empirical_distribution,
     exact_distribution,
-    flip_probabilities,
     glauber_ensemble_continuous,
     glauber_ensemble_discrete,
     glauber_run_continuous,
@@ -32,17 +30,26 @@ from multimix.ising import (
     low_rank_ising,
     mean_field_potts,
     potts_digits,
-    rate_matrix,
     sample_exact,
     spins_to_index,
     states_matrix,
 )
 from multimix.rng import make_rng
+from multimix.spectral import build_glauber_generator, eigendecompose
 
 
 def random_ising(rng, n: int, scale: float = 0.4) -> IsingModel:
     J = rng.normal(0.0, scale / np.sqrt(n), (n, n))
     return IsingModel(0.5 * (J + J.T), rng.normal(0.0, 0.3, n))
+
+
+def rate_matrix(model: IsingModel) -> np.ndarray:
+    return build_glauber_generator(exact_distribution(model)).rate_matrix()
+
+
+def discrete_kernel(model: IsingModel) -> np.ndarray:
+    # one uniform-coordinate heat-bath update
+    return np.eye(1 << model.n) + rate_matrix(model) / model.n
 
 
 def test_model_validation():
@@ -261,12 +268,21 @@ def test_continuous_law_matches_matrix_exponential():
 
 
 def test_rate_matrix_consistency():
+    # the generator is built from pi; its jump rates must match the heat-bath
+    # flip probabilities computed from the model's local fields
     rng = make_rng(38)
     model = random_ising(rng, 5)
     L = rate_matrix(model)
-    P = discrete_kernel(model)
-    # the discrete kernel is one uniform-coordinate update: P = I + L/n
-    assert np.abs(np.eye(32) + L / 5 - P).max() <= 1e-12
+    S = states_matrix(5)
+    p_plus = expit(2.0 * (S @ model.J + model.b))  # P(new spin = +1)
+    flips = np.where(S > 0, 1.0 - p_plus, p_plus)
+    idx = np.arange(32)
+    off = L - np.diag(np.diag(L))
+    for i in range(5):
+        assert np.abs(L[idx, idx ^ (1 << i)] - flips[:, i]).max() <= 1e-12
+        off[idx, idx ^ (1 << i)] = 0.0
+    assert np.all(off == 0.0)  # single-flip moves only
+    assert np.abs(L.sum(axis=1)).max() <= 1e-12
 
 
 def test_censored_step_basics():
@@ -293,7 +309,7 @@ def test_censored_stationary_law():
     pos = np.flatnonzero(mag > 0)
     restricted = pi.probs[pos] / pi.probs[pos].sum()
     # exact: the censored kernel fixes the restricted law
-    flips = flip_probabilities(model)
+    L = rate_matrix(model)
     pos_pos = {int(s): j for j, s in enumerate(pos)}
     P = np.zeros((pos.size, pos.size))
     full = (1 << n) - 1
@@ -301,8 +317,8 @@ def test_censored_stationary_law():
         for i in range(n):
             y = int(x) ^ (1 << i)
             dest = y if mag[y] > 0 else y ^ full
-            P[j, pos_pos[dest]] += flips[x, i] / n
-        P[j, j] += 1.0 - flips[x].sum() / n
+            P[j, pos_pos[dest]] += L[x, y] / n
+        P[j, j] += 1.0 + L[x, x] / n
     assert np.abs(restricted @ P - restricted).max() <= 1e-12
     # Monte Carlo long run agrees
     X0 = np.tile(np.ones(n), (20_000, 1))
@@ -321,7 +337,7 @@ def test_censored_dirichlet_identity_for_even_functions():
     pi = exact_distribution(model).probs
     mag = states_matrix(n).sum(axis=1)
     pos = np.flatnonzero(mag > 0)
-    flips = flip_probabilities(model)
+    L = rate_matrix(model)
     rng = make_rng(44)
     f_pos = rng.normal(size=pos.size)
     lookup = {int(s): f_pos[j] for j, s in enumerate(pos)}
@@ -331,14 +347,14 @@ def test_censored_dirichlet_identity_for_even_functions():
     for x in range(m):
         for i in range(n):
             y = x ^ (1 << i)
-            energy_full += 0.5 * pi[x] * flips[x, i] * (f_even[y] - f_even[x]) ** 2
+            energy_full += 0.5 * pi[x] * L[x, y] * (f_even[y] - f_even[x]) ** 2
     energy_censored = 0.0
     for x in pos:
         for i in range(n):
             y = int(x) ^ (1 << i)
             dest = y if mag[y] > 0 else y ^ full
             energy_censored += (
-                0.5 * (2.0 * pi[x]) * flips[x, i] * (lookup[dest] - lookup[int(x)]) ** 2
+                0.5 * (2.0 * pi[x]) * L[x, y] * (lookup[dest] - lookup[int(x)]) ** 2
             )
     assert energy_full == pytest.approx(energy_censored, abs=1e-10)
 
@@ -346,8 +362,6 @@ def test_censored_dirichlet_identity_for_even_functions():
 def test_curie_weiss_f2_odd_and_magnetization_measurable():
     # checked for odd n in {5, 7, 9, 11} at beta = 1.5; no exceptions found
     # at any of these sizes, so all four are asserted
-    from multimix.spectral import build_glauber_generator, eigendecompose
-
     for n in (5, 7, 9, 11):
         pi = exact_distribution(curie_weiss(n, 1.5))
         spec = eigendecompose(build_glauber_generator(pi), k_max=2)

@@ -8,7 +8,6 @@ import pytest
 from multimix import CapacityError, FiniteDistribution, SampleSet, tv_distance
 from multimix.ising import (
     IsingModel,
-    discrete_kernel,
     exact_distribution,
     low_rank_ising,
     sample_exact,
@@ -351,7 +350,10 @@ def test_sample_initialized_trajectories_concentrate():
 
     m = 1 << n
     TP, TQ = np.eye(m), np.eye(m)
-    P, Q = discrete_kernel(truth), discrete_kernel(fitted)
+    P, Q = (
+        np.eye(m) + build_glauber_generator(exact_distribution(model)).rate_matrix() / n
+        for model in (truth, fitted)
+    )
     for _ in range(steps):
         TP = TP[..., None] * P
         TQ = TQ[..., None] * Q

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from multimix.ising import (
     exact_distribution,
     empirical_distribution,
     low_rank_ising,
+    mean_field_potts,
     sample_exact,
 )
 from multimix.rng import make_rng
@@ -45,17 +48,22 @@ def product_distribution(rng, n: int) -> FiniteDistribution:
     return exact_distribution(IsingModel(np.zeros((n, n)), rng.uniform(-1.5, 1.5, n)))
 
 
-def brute_force_symmetrized(pi: FiniteDistribution) -> np.ndarray:
-    # independent entrywise construction from the heat-bath rates
+def brute_force_symmetrized(pi: FiniteDistribution, q: int = 2) -> np.ndarray:
+    # independent entrywise construction from the heat-bath rates: site i of
+    # state x resamples within the q states that differ from x only there
     m = pi.m
-    n = m.bit_length() - 1
+    n = round(math.log(m, q))
     p = pi.probs
     A = np.zeros((m, m))
     for x in range(m):
         for i in range(n):
-            y = x ^ (1 << i)
-            A[x, y] = -np.sqrt(p[x] * p[y]) / (p[x] + p[y])
-            A[x, x] += p[y] / (p[x] + p[y])
+            digit = (x // q**i) % q
+            group = [x + (c - digit) * q**i for c in range(q)]
+            z = sum(p[y] for y in group)
+            for y in group:
+                if y != x:
+                    A[x, y] = -np.sqrt(p[x] * p[y]) / z
+                    A[x, x] += p[y] / z
     return A
 
 
@@ -93,6 +101,11 @@ def test_build_rejects_bad_supports():
         build_glauber_generator(FiniteDistribution(probs))
     with pytest.raises(CapacityError):
         build_glauber_generator(FiniteDistribution.uniform(1 << 15))
+    with pytest.raises(ValueError, match="power of 3"):
+        build_glauber_generator(FiniteDistribution.uniform(16), 3)
+    for q in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 values"):
+            build_glauber_generator(FiniteDistribution.uniform(4), q)
 
 
 def test_uniform_three_spin_spectrum():
@@ -114,6 +127,33 @@ def test_generator_matches_brute_force():
     pi = exact_distribution(random_ising(rng, 6))
     gen = build_glauber_generator(pi)
     assert np.abs(gen.A - brute_force_symmetrized(pi)).max() <= 1e-12
+
+
+def test_spin_generator_keeps_the_flip_arithmetic():
+    # the byte-stable spin CSVs rest on this exact evaluation order
+    pi = exact_distribution(low_rank_ising(9, 2, [1.5, 1.3], 0.2, seed=4))
+    p, sq, idx = pi.probs, np.sqrt(pi.probs), np.arange(pi.m)
+    A = np.zeros((pi.m, pi.m))
+    diag = np.zeros(pi.m)
+    for i in range(9):
+        nb = idx ^ (1 << i)
+        total = p + p[nb]
+        A[idx, nb] = -sq * sq[nb] / total
+        diag += p[nb] / total
+    A[idx, idx] = diag
+    assert np.array_equal(build_glauber_generator(pi).A, A)
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (2, 4)])
+def test_potts_generator_matches_brute_force(n, q):
+    pi = exact_distribution(mean_field_potts(n, q, 1.3))
+    gen = build_glauber_generator(pi, q)
+    assert np.abs(gen.A - brute_force_symmetrized(pi, q)).max() <= 1e-14
+    # a law without the colour symmetry exercises every group separately
+    weights = make_rng(13).uniform(0.5, 1.5, q**n)
+    rough = FiniteDistribution(weights / weights.sum())
+    gen = build_glauber_generator(rough, q)
+    assert np.abs(gen.A - brute_force_symmetrized(rough, q)).max() <= 1e-14
 
 
 def test_detailed_balance():
