@@ -43,7 +43,6 @@ from .langevin import (
     exact_score,
     lmc_run,
     load_mixture,
-    mixture_score,
     perturb_score,
     sample_mixture,
     submixture,

@@ -445,7 +445,7 @@ def _exp_potts_gap(params, seeds, runner):
         k_eff = min(net.count, pi.m - 1)
         mixture_gap = float(full.eigenvalues[k_eff])
         label = f"n={n} q={q} beta={beta}"
-        rows = [
+        return [
             ResultRow("potts-gap", label, "fields", float(net.count)),
             ResultRow("potts-gap", label, "min_ratio", cert.min_ratio),
             ResultRow("potts-gap", label, "max_ratio", cert.max_ratio),
@@ -454,19 +454,12 @@ def _exp_potts_gap(params, seeds, runner):
             ResultRow("potts-gap", label, "min_component_gap", min(gaps)),
             ResultRow("potts-gap", label, "mixture_gap", mixture_gap),
         ]
-        ok = cert.passed and err <= 1e-10
-        ok &= mixture_gap >= min(gaps) * GAP_TRANSFER - 1e-8
-        return rows, ok
 
-    holder = {}
-
-    def wrapped():
-        rows, ok = task()
-        holder["ok"] = ok
-        return rows
-
-    rows = runner.map([wrapped])
-    return rows, holder["ok"]
+    rows = runner.map([task])
+    value = {r.metric: r.value for r in rows}
+    ok = value["passed"] == 1.0 and value["refine_error"] <= 1e-10
+    ok &= value["mixture_gap"] >= value["min_component_gap"] * GAP_TRANSFER - 1e-8
+    return rows, ok
 
 
 def _exp_min_weight_free(params, seeds, runner):

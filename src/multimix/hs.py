@@ -7,12 +7,17 @@ multiplicative error, as a finite mixture of external-field tilts. This
 module performs the split, builds the discrete field net with its weights,
 certifies the multiplicative sandwich by full enumeration, and reweights the
 net into an exact mixture once the certificate holds.
+
+The pipeline is written once, over a feature map: an Ising state is its own
+feature vector, a Potts state is its site-major one-hot coloring. Each split
+enumerates its states once, and a field h tilts every state by <h, features>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -20,14 +25,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp, softmax
 
 from .errors import CapacityError, ParseError
-from .ising import (
-    IsingModel,
-    PottsModel,
-    ising_energy_vector,
-    potts_digits,
-    potts_energy_vector,
-    states_matrix,
-)
+from .ising import IsingModel, PottsModel, potts_digits, states_matrix
 from .measures import FiniteDistribution
 
 MAX_EXACT_STATES = 1 << 14
@@ -47,8 +45,9 @@ class SpectralSplit:
     J_plus collects the eigendirections with eigenvalue above the threshold
     (its rank factorization is kept as `eigenvalues` and `basis`), J_tilde is
     the remainder, and `negative_trace` records the total magnitude of the
-    negative part of the spectrum. The model the split was taken from rides
-    along so the field-net weights can enumerate its states.
+    negative part of the spectrum. All of these live in feature space (see
+    `_features`). The model the split was taken from rides along so the
+    field-net weights can enumerate its states.
     """
 
     model: object
@@ -65,15 +64,26 @@ class SpectralSplit:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.abs(self.j_plus + self.j_tilde - self._coupling()).max() > 1e-10:
+        coupling, _ = _feature_coupling(self.model)
+        if np.abs(self.j_plus + self.j_tilde - coupling).max() > 1e-10:
             raise ValueError("split parts must add back to the coupling")
         if self.eigenvalues.size and self.eigenvalues.min() <= self.threshold:
             raise ValueError("kept eigenvalues must exceed the threshold")
 
-    def _coupling(self) -> np.ndarray:
-        if isinstance(self.model, PottsModel):
-            return _potts_feature_coupling(self.model)
-        return self.model.J
+    @cached_property
+    def enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature rows of every state, base energies E0 under J_tilde and
+        per-state projections onto the kept eigenbasis, computed once."""
+        features = _features(self.model)
+        coupling, field = _feature_coupling(self.model)
+        full = 0.5 * np.einsum("xi,xi->x", features @ coupling, features)
+        full = full + features @ field
+        proj = features @ self.basis
+        # E0 = full energy minus the quadratic form of the kept part
+        base = full - 0.5 * (proj * proj) @ self.eigenvalues
+        for arr in (features, base, proj):
+            arr.setflags(write=False)
+        return features, base, proj
 
     @property
     def r(self) -> int:
@@ -84,11 +94,36 @@ class SpectralSplit:
         return self.j_plus.shape[0]
 
 
-def _potts_feature_coupling(model: PottsModel) -> np.ndarray:
-    """Coupling on one-hot site features: agreement counts become the
-    quadratic form (beta/n) (11' - I) (x) I_q, diagonal already zero."""
-    block = (model.beta / model.n) * (np.ones((model.n, model.n)) - np.eye(model.n))
-    return np.kron(block, np.eye(model.q))
+def _features(model) -> np.ndarray:
+    """Feature vector of every state, one row per state index.
+
+    An Ising state is its own spin vector. A Potts state is its site-major
+    one-hot coloring, shape (q**n, n*q): column i*q + c is 1 where site i
+    has color c, matching the kron(block, I_q) coupling.
+    """
+    if isinstance(model, PottsModel):
+        if model.q**model.n > MAX_EXACT_STATES:
+            raise CapacityError(f"{model.q}**{model.n} states exceed the exact cap")
+        digits = potts_digits(model.n, model.q)
+        onehot = digits[:, :, None] == np.arange(model.q)
+        return onehot.reshape(digits.shape[0], -1).astype(float)
+    if 1 << model.n > MAX_EXACT_STATES:
+        raise CapacityError(f"2**{model.n} states exceed the exact cap")
+    return states_matrix(model.n)
+
+
+def _feature_coupling(model) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling J and field b of the energy (1/2) f'Jf + b'f on features f.
+
+    For a Potts model agreement counts become the quadratic form
+    (beta/n) (11' - I) (x) I_q, diagonal already zero, with no field.
+    """
+    if isinstance(model, PottsModel):
+        block = (model.beta / model.n) * (np.ones((model.n, model.n)) - np.eye(model.n))
+        return np.kron(block, np.eye(model.q)), np.zeros(model.n * model.q)
+    if isinstance(model, IsingModel):
+        return model.J, model.b
+    raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
 
 
 def split_spectrum(model, c: float) -> SpectralSplit:
@@ -100,14 +135,8 @@ def split_spectrum(model, c: float) -> SpectralSplit:
     """
     if c < 1.0:
         raise ValueError("threshold parameter c must be at least 1")
-    if isinstance(model, PottsModel):
-        J = _potts_feature_coupling(model)
-        vals, vecs = scipy.linalg.eigh(J)
-    elif isinstance(model, IsingModel):
-        J = model.J
-        vals, vecs = model.coupling_eigh
-    else:
-        raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
+    J, _ = _feature_coupling(model)
+    vals, vecs = scipy.linalg.eigh(J)
     threshold = 1.0 - 1.0 / c
     keep = vals > threshold
     eigenvalues = vals[keep]
@@ -162,45 +191,6 @@ class FieldNet:
         return self.fields.shape[0]
 
 
-def _enumeration(split: SpectralSplit):
-    """Base energies E0 under J_tilde and per-state projections onto the kept
-    eigenbasis, by full state enumeration of the split's model."""
-    model = split.model
-    if isinstance(model, PottsModel):
-        if model.q**model.n > MAX_EXACT_STATES:
-            raise CapacityError(f"{model.q}**{model.n} states exceed the exact cap")
-        digits = potts_digits(model.n, model.q)
-        if split.r:
-            onehot = (digits[:, :, None] == np.arange(model.q)).astype(float)
-            proj = np.einsum(
-                "xic,icr->xr", onehot, split.basis.reshape(model.n, model.q, split.r)
-            )
-        else:
-            proj = np.zeros((digits.shape[0], 0))
-        full = potts_energy_vector(model)
-    else:
-        if 1 << model.n > MAX_EXACT_STATES:
-            raise CapacityError(f"2**{model.n} states exceed the exact cap")
-        S = states_matrix(model.n)
-        proj = S @ split.basis
-        full = ising_energy_vector(model)
-    # E0 = full energy minus the quadratic form of the kept part
-    base = full - 0.5 * (proj * proj) @ split.eigenvalues if split.r else full
-    return base, proj
-
-
-def _tilts(split: SpectralSplit, fields: np.ndarray) -> np.ndarray:
-    """Per-state linear tilt <h, x> (or <h, phi(x)>) for a block of fields."""
-    model = split.model
-    if isinstance(model, PottsModel):
-        digits = potts_digits(model.n, model.q)
-        onehot = (digits[:, :, None] == np.arange(model.q)).astype(float)
-        return np.einsum(
-            "xic,fic->xf", onehot, fields.reshape(-1, model.n, model.q)
-        )
-    return states_matrix(model.n) @ fields.T
-
-
 def _net_radius(split: SpectralSplit, scale: float) -> float:
     lam1 = float(split.eigenvalues.max())
     lam_r = float(split.eigenvalues.min())
@@ -224,7 +214,7 @@ def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
     coords = coords[np.linalg.norm(coords, axis=1) <= radius]
     if coords.shape[0] > MAX_FIELDS:
         raise CapacityError(f"{coords.shape[0]} fields exceed the {MAX_FIELDS} cap")
-    base, proj = _enumeration(split)
+    _, base, proj = split.enumeration
     # midpoint quadrature over each cell, three sub-nodes per direction
     offsets = np.meshgrid(*([np.array([-mesh / 3.0, 0.0, mesh / 3.0])] * r), indexing="ij")
     offsets = np.stack([o.ravel() for o in offsets], axis=1)
@@ -249,7 +239,7 @@ def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: f
     """
     lam1 = float(split.eigenvalues.max())
     r = split.r
-    base, _ = _enumeration(split)
+    _, base, _ = split.enumeration
     log_w = float(logsumexp(base))
     area = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
 
@@ -301,39 +291,29 @@ def mixture_density(net: FieldNet, split: SpectralSplit, model):
 
     For a spin model the components come back as IsingModels with coupling
     J_tilde and field b + h, ready for Glauber dynamics; for a Potts model
-    they come back as exact tilted distributions.
+    they come back as exact tilted distributions, the columns of the block
+    softmax that also sums to pi2.
     """
-    same = model is split.model
-    if not same and isinstance(model, IsingModel) and isinstance(split.model, IsingModel):
+    if isinstance(model, IsingModel) and isinstance(split.model, IsingModel):
         same = np.array_equal(model.J, split.model.J) and np.array_equal(
             model.b, split.model.b
         )
-    if not same and isinstance(model, PottsModel) and isinstance(split.model, PottsModel):
-        same = (model.n, model.q, model.beta) == (
-            split.model.n,
-            split.model.q,
-            split.model.beta,
-        )
+    else:
+        same = model == split.model
     if not same:
         raise ValueError("model does not match the one the split was taken from")
-    base, _ = _enumeration(split)
-    m = base.size
-    pi2 = np.zeros(m)
+    features, base, _ = split.enumeration
+    potts = isinstance(model, PottsModel)
+    pi2 = np.zeros(base.size)
+    components = []
     for lo in range(0, net.count, 256):
-        block = net.fields[lo : lo + 256]
-        pi2 += softmax(base[:, None] + _tilts(split, block), axis=0) @ net.weights[
-            lo : lo + 256
-        ]
-    if isinstance(model, PottsModel):
-        components = tuple(
-            FiniteDistribution(softmax(base + _tilts(split, h[None, :])[:, 0]))
-            for h in net.fields
-        )
-    else:
-        components = tuple(
-            IsingModel(split.j_tilde, model.b + h) for h in net.fields
-        )
-    return FiniteDistribution(pi2 / pi2.sum()), components
+        block = softmax(base[:, None] + features @ net.fields[lo : lo + 256].T, axis=0)
+        pi2 += block @ net.weights[lo : lo + 256]
+        if potts:
+            components.extend(FiniteDistribution(col) for col in block.T)
+    if not potts:
+        components = [IsingModel(split.j_tilde, model.b + h) for h in net.fields]
+    return FiniteDistribution(pi2 / pi2.sum()), tuple(components)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit, softmax
 
 from .errors import CapacityError, ParseError
-from .measures import FiniteDistribution, _readonly
+from .measures import MAX_STATES, FiniteDistribution, _readonly
 from .rng import make_rng
 
 MAX_EXACT_SPINS = 20
@@ -61,16 +60,6 @@ class IsingModel:
     @property
     def n(self) -> int:
         return self.J.shape[0]
-
-    @cached_property
-    def coupling_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of J (ascending), computed once per instance."""
-        import scipy.linalg
-
-        w, v = scipy.linalg.eigh(self.J)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
 
 
 @dataclass(frozen=True)
@@ -135,26 +124,32 @@ def states_matrix(n: int) -> np.ndarray:
     """All 2^n spin configurations as a (2^n, n) +-1 matrix, row x = state x."""
     if n < 1 or n > MAX_EXACT_SPINS:
         raise CapacityError(f"state enumeration supports 1..{MAX_EXACT_SPINS} spins, got {n}")
-    idx = np.arange(1 << n)
-    return (((idx[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1).astype(float)
+    return index_to_spins(np.arange(1 << n), n)
 
 
-def spins_to_index(x) -> int:
+def spins_to_index(x):
+    """Index of each spin row (last axis); inverse of index_to_spins."""
     x = np.asarray(x)
-    bits = (x > 0).astype(np.int64)
-    return int(bits @ (1 << np.arange(x.size, dtype=np.int64)))
+    return (x > 0).astype(np.int64) @ (1 << np.arange(x.shape[-1], dtype=np.int64))
 
 
-def index_to_spins(index: int, n: int) -> np.ndarray:
-    return (((index >> np.arange(n)) & 1) * 2 - 1).astype(float)
+def index_to_spins(index, n: int) -> np.ndarray:
+    """Spin rows of one index or an array of them: shape index.shape + (n,)."""
+    idx = np.asarray(index, dtype=np.int64)
+    return (((idx[..., None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+
+
+def index_to_digits(index, n: int, q: int) -> np.ndarray:
+    """Base-q color rows of one index or an array of them, digit i = site i."""
+    idx = np.asarray(index, dtype=np.int64)
+    return (idx[..., None] // (q ** np.arange(n, dtype=np.int64))) % q
 
 
 def potts_digits(n: int, q: int) -> np.ndarray:
     """All q^n color configurations as a (q^n, n) integer matrix."""
-    if n * math.log2(q) > 20.0 + 1e-9:
-        raise CapacityError(f"q^n = {q}**{n} exceeds the 2^20 state cap")
-    idx = np.arange(q**n, dtype=np.int64)
-    return (idx[:, None] // (q ** np.arange(n, dtype=np.int64))) % q
+    if q**n > MAX_STATES:
+        raise CapacityError(f"q^n = {q}**{n} exceeds the {MAX_STATES} state cap")
+    return index_to_digits(np.arange(q**n), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +175,6 @@ def _energy_vector(model) -> np.ndarray:
     if isinstance(model, PottsModel):
         return potts_energy_vector(model)
     raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
-
-
-def log_partition(model) -> float:
-    """log Z, evaluated by state enumeration with log-sum-exp."""
-    return float(logsumexp(_energy_vector(model)))
 
 
 def exact_distribution(model) -> FiniteDistribution:
@@ -453,8 +443,8 @@ def sample_exact(model, count: int, seed: int) -> np.ndarray:
     rng = make_rng(seed, "init")
     idx = rng.choice(dist.m, size=count, p=dist.probs)
     if isinstance(model, IsingModel):
-        return (((idx[:, None] >> np.arange(model.n)[None, :]) & 1) * 2 - 1).astype(float)
-    return (idx[:, None] // (model.q ** np.arange(model.n, dtype=np.int64))) % model.q
+        return index_to_spins(idx, model.n)
+    return index_to_digits(idx, model.n, model.q)
 
 
 def empirical_distribution(X, n: int) -> FiniteDistribution:
@@ -464,8 +454,8 @@ def empirical_distribution(X, n: int) -> FiniteDistribution:
         raise ValueError(f"sample matrix has shape {X.shape}, expected (count, {n})")
     if not np.all(np.abs(X) == 1.0):
         raise ValueError("samples must be +-1 valued")
-    idx = (X > 0) @ (1 << np.arange(n, dtype=np.int64))
-    return FiniteDistribution(np.bincount(idx, minlength=1 << n) / X.shape[0])
+    counts = np.bincount(spins_to_index(X), minlength=1 << n)
+    return FiniteDistribution(counts / X.shape[0])
 
 
 def dump_ising_model(model: IsingModel) -> str:

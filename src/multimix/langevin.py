@@ -284,12 +284,6 @@ def sample_mixture(model: MixtureModel, count: int, seed: int) -> SampleSet:
     return SampleSet(model.sample(count, make_rng(seed, "init")))
 
 
-def mixture_score(model: MixtureModel, x) -> np.ndarray:
-    """Gradient of the log density, a posterior-weighted blend of component
-    gradients computed through log-sum-exp so no weight ever overflows."""
-    return model.score(x)
-
-
 _FIELD_KINDS = ("exact", "perturbed", "submixture")
 
 

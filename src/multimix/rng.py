@@ -17,7 +17,6 @@ _STREAMS = {
     "lmc": 2,
     "ple": 3,
     "experiment": 4,
-    "net": 5,
     "init": 6,
 }
 

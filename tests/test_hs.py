@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multimix import CapacityError, FiniteDistribution, ParseError
+from multimix import CapacityError, FiniteDistribution, ParseError, hs
 from multimix.hs import (
     MAX_FIELDS,
     SANDWICH_LIMIT,
@@ -242,6 +242,13 @@ def test_mixture_density_rejects_foreign_models():
     model, split, net, _, _, _ = cw_pipeline(5)
     with pytest.raises(ValueError):
         mixture_density(net, split, curie_weiss(5, 1.4))
+    with pytest.raises(ValueError):
+        mixture_density(net, split, mean_field_potts(5, 2, 1.5))
+    potts_split = split_spectrum(mean_field_potts(3, 3, 1.2), 2.0)
+    with pytest.raises(ValueError):
+        mixture_density(net, potts_split, mean_field_potts(3, 3, 1.3))
+    with pytest.raises(ValueError):
+        mixture_density(net, potts_split, model)
 
 
 def test_enumeration_capacity():
@@ -358,6 +365,64 @@ def test_potts_mixture_pipeline():
     q, refined = exact_mixture_refinement(pi, net.weights, components)
     recon = q @ np.stack([d.probs for d in refined])
     assert np.abs(recon - pi.probs).max() < 1e-10
+
+
+def test_potts_components_match_loop_reference():
+    model = mean_field_potts(4, 3, 1.2)
+    split = split_spectrum(model, 2.0)
+    coords = np.random.default_rng(3).normal(0.0, 1.0, (5, split.r))
+    fields = coords @ split.basis.T
+    weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    net = FieldNet(
+        fields=fields,
+        weights=weights,
+        radius=float(np.linalg.norm(fields, axis=1).max()),
+        mesh=0.5,
+    )
+    pi2, components = mixture_density(net, split, model)
+    # state by state: base-3 digits, one-hot colors, E0 = agreement energy
+    # minus the kept quadratic form, then one tilt per field
+    base = np.empty(81)
+    onehot = np.zeros((81, 12))
+    for x in range(81):
+        digits = [(x // 3**i) % 3 for i in range(4)]
+        for i, color in enumerate(digits):
+            onehot[x, 3 * i + color] = 1.0
+        pairs = sum(digits[i] == digits[j] for i in range(4) for j in range(i))
+        proj = onehot[x] @ split.basis
+        base[x] = 1.2 / 4 * pairs - 0.5 * np.sum(split.eigenvalues * proj**2)
+    reference = []
+    for h in fields:
+        logits = base + onehot @ h
+        p = np.exp(logits - logits.max())
+        reference.append(p / p.sum())
+    assert len(components) == 5
+    for comp, ref in zip(components, reference):
+        assert np.abs(comp.probs - ref).max() <= 1e-14
+    mix = sum(w * c.probs for w, c in zip(weights, components))
+    assert np.abs(pi2.probs - mix).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "model, mesh, enumerator",
+    [
+        (curie_weiss(7, 1.5), None, "states_matrix"),
+        (mean_field_potts(4, 3, 1.2), 0.75, "potts_digits"),
+    ],
+)
+def test_states_are_enumerated_once_per_split(monkeypatch, model, mesh, enumerator):
+    calls = []
+    original = getattr(hs, enumerator)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hs, enumerator, counted)
+    split = split_spectrum(model, 2.0)
+    net = build_field_net(split, 1.0, model.n, mesh=mesh)
+    mixture_density(net, split, model)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

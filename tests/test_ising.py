@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit
 
-from multimix import CapacityError, FiniteDistribution, ParseError, tv_distance
+from multimix import CapacityError, FiniteDistribution, ParseError, ising, tv_distance
 from multimix.ising import (
     GlauberTrajectory,
     IsingModel,
@@ -24,6 +24,7 @@ from multimix.ising import (
     glauber_ensemble_discrete,
     glauber_run_continuous,
     glauber_step_discrete,
+    index_to_digits,
     index_to_spins,
     load_ising_model,
     load_samples,
@@ -73,6 +74,30 @@ def test_state_indexing_round_trip():
         x = index_to_spins(idx, 4)
         assert np.array_equal(S[idx], x)
         assert spins_to_index(x) == idx
+
+
+def test_state_codec_takes_arrays():
+    idx = np.array([[0, 5], [9, 15]])
+    X = index_to_spins(idx, 4)
+    assert X.shape == (2, 2, 4)
+    assert np.array_equal(X, states_matrix(4)[idx])
+    assert np.array_equal(spins_to_index(X), idx)
+    D = index_to_digits(np.arange(81), 4, 3)
+    assert np.array_equal(D, potts_digits(4, 3))
+    assert np.array_equal(D @ 3 ** np.arange(4), np.arange(81))
+    assert np.array_equal(index_to_digits(40, 4, 3), [1, 1, 1, 1])
+
+
+def test_potts_digits_capacity(monkeypatch):
+    with pytest.raises(CapacityError):
+        potts_digits(13, 3)  # 3**13 > 2**20
+    with pytest.raises(CapacityError):
+        potts_digits(21, 2)
+    # the cap is an exact integer bound on q**n
+    monkeypatch.setattr(ising, "MAX_STATES", 81)
+    assert potts_digits(4, 3).shape == (81, 4)
+    with pytest.raises(CapacityError):
+        potts_digits(7, 2)  # 128 > 81
 
 
 def test_conditional_prob_values():
@@ -140,9 +165,8 @@ def test_curie_weiss_bimodal():
 def test_curie_weiss_coupling():
     assert np.all(curie_weiss(3, 0.0).J == 0.0)
     model = curie_weiss(8, 1.3)
-    w, _ = model.coupling_eigh
+    w = scipy.linalg.eigvalsh(model.J)
     assert w[-1] == pytest.approx(1.3 * 7 / 8, rel=1e-12)
-    assert not w.flags.writeable
 
 
 def test_low_rank_ising_spectrum():

@@ -19,7 +19,6 @@ from multimix.langevin import (
     lmc_run,
     load_mixture,
     load_terminal_samples,
-    mixture_score,
     perturb_score,
     sample_mixture,
     submixture,
@@ -96,7 +95,7 @@ def test_softplus_sampler_matches_quadrature_mean():
 def test_score_single_gaussian_is_minus_x():
     m = MixtureModel([1.0], [GaussianComponent([0.0, 0.0], np.eye(2))])
     x = np.array([0.7, -1.9])
-    assert np.array_equal(mixture_score(m, x), -x)
+    assert np.array_equal(m.score(x), -x)
 
 
 def test_score_vanishes_at_symmetry_point():
@@ -104,7 +103,7 @@ def test_score_vanishes_at_symmetry_point():
         [0.5, 0.5],
         [GaussianComponent([-2.0, 1.0], np.eye(2)), GaussianComponent([2.0, -1.0], np.eye(2))],
     )
-    assert np.abs(mixture_score(m, np.zeros(2))).max() <= 1e-14
+    assert np.abs(m.score(np.zeros(2))).max() <= 1e-14
 
 
 def test_score_matches_finite_differences():
@@ -113,7 +112,7 @@ def test_score_matches_finite_differences():
     h = 1e-5
     for _ in range(100):
         x = rng.normal(0.0, 2.0, 2)
-        s = mixture_score(m, x)
+        s = m.score(x)
         fd = np.empty(2)
         for j in range(2):
             e = np.zeros(2)
@@ -125,7 +124,7 @@ def test_score_matches_finite_differences():
 def test_score_rejects_non_finite_points():
     m = three_component_model()
     with pytest.raises(ValueError, match="finite"):
-        mixture_score(m, np.array([np.nan, 0.0]))
+        m.score(np.array([np.nan, 0.0]))
 
 
 def test_stationary_gradient_second_moment_bound():
