@@ -75,9 +75,11 @@ def _cmd_spectrum(args) -> int:
     model = _load_model(args.model)
     if not hasattr(model, "J"):
         raise ParseError("spectrum needs a spin model; got a continuous mixture")
-    spec = eigendecompose(build_glauber_generator(exact_distribution(model)))
-    k = args.k if args.k else spec.eigenvalues.size
-    lines = [repr(float(v)) for v in spec.eigenvalues[:k]]
+    pi = exact_distribution(model)
+    if not 0 <= args.k <= pi.m:
+        raise ParseError(f"--k must lie in 0..{pi.m} (0 = all), got {args.k}")
+    spec = eigendecompose(build_glauber_generator(pi), args.k or None)
+    lines = [repr(float(v)) for v in spec.eigenvalues]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -41,7 +41,7 @@ from .spectral import (
 # largest trajectory tensor enumerated exactly: m^(t+1) entries
 MAX_TRAJECTORY_TUPLES = 1 << 22
 
-# exact terminal-law certification (matrix exponential) is limited to this
+# exact terminal-law certification (semigroup action) is limited to this
 MAX_CERTIFY_SPINS = 10
 
 
@@ -291,7 +291,7 @@ def trajectory_kl(truth: IsingModel, fitted: IsingModel, steps: int) -> float:
 
 def certify_terminal_tv(model: IsingModel, mu0: FiniteDistribution, horizon: float) -> float:
     """Exact TV between the chain law at the horizon and the model's own
-    stationary law, via the matrix exponential of the generator."""
+    stationary law, via the semigroup action of the generator."""
     if model.n > MAX_CERTIFY_SPINS:
         raise CapacityError(f"exact certification caps at n={MAX_CERTIFY_SPINS}")
     pi = exact_distribution(model)
@@ -304,7 +304,7 @@ def learn_and_sample(
 ) -> LearnReport:
     """Fit from samples, start Glauber from fresh data, certify terminal TV.
 
-    Exact certification (matrix exponential of the fitted generator applied
+    Exact certification (semigroup action of the fitted generator applied
     to the empirical initialization, compared against the true stationary
     law) runs for n <= 10. Larger models fall back to a Monte Carlo TV
     estimate over the initialization replicas and come back flagged
@@ -323,8 +323,7 @@ def learn_and_sample(
     if truth.n <= MAX_CERTIFY_SPINS:
         mu0 = empirical_distribution(init, truth.n)
         gen = build_glauber_generator(exact_distribution(report.model))
-        spectrum = eigendecompose(gen)
-        bal = balance_statistic(spectrum, SampleSet(init), k=2)
+        bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
         terminal = evolve_distribution(gen, mu0, horizon)
         return LearnReport(
             fit=report,

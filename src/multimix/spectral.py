@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import CapacityError, ParseError
 from .measures import FiniteDistribution, SampleSet, _readonly
@@ -238,13 +240,15 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     Eigenvectors v of A are mapped to eigenfunctions f = D^{-1/2} v of -L,
     which makes them pi-orthonormal. Residuals ||A v - lambda v|| (equal to
     the pi-norm of the eigenfunction residual) are checked against 1e-7.
+    The full spectrum comes from the divide-and-conquer driver (LAPACK
+    syevd), a partial one from the subset driver (syevr), which syevd lacks.
     """
     m = gen.m
     k = m if k_max is None else int(k_max)
     if not 1 <= k <= m:
         raise ValueError(f"k_max must lie in 1..{m}, got {k_max}")
     if k == m:
-        w, v = scipy.linalg.eigh(gen.A)
+        w, v = scipy.linalg.eigh(gen.A, driver="evd")
     else:
         w, v = scipy.linalg.eigh(gen.A, subset_by_index=(0, k - 1))
     resid = gen.A @ v - v * w[None, :]
@@ -333,17 +337,34 @@ def chi2_trajectory(spectrum: Spectrum, mu0, times) -> np.ndarray:
 def evolve_distribution(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> FiniteDistribution:
     """Push an initial law through the semigroup: mu_t = mu0 e^{tL}.
 
-    Computed as D^{1/2} exp(-tA) D^{-1/2} mu0 via the matrix exponential,
-    independent of any eigendecomposition. Round-off can leave entries a
-    hair below zero; anything past -1e-10 is treated as an error, the rest
-    is clipped and renormalized.
+    Computed as D^{1/2} exp(-tA) D^{-1/2} mu0, independent of any
+    eigendecomposition, by one of two routes. When t ||A||_1 <= m / 4 the
+    semigroup action is taken directly on the sparse generator (Al-Mohy and
+    Higham's truncated Taylor action, ``expm_multiply``); on longer horizons
+    the dense matrix exponential (scaling and squaring) is applied to the
+    vector. Round-off can leave entries a hair below zero; anything past
+    -1e-10 is treated as an error, the rest is clipped and renormalized.
     """
     if mu0.m != gen.m:
         raise ValueError(f"state-space mismatch: {mu0.m} vs {gen.m}")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     sq = np.sqrt(gen.pi.probs)
-    out = sq * (scipy.linalg.expm(-t * gen.A) @ (mu0.probs / sq))
+    v = mu0.probs / sq
+    # The action's cost grows linearly in t ||A||_1, scaling and squaring's
+    # only as log t. Which was faster on Curie-Weiss beta=1.5 chains (one
+    # BLAS thread, 2-vCPU x86 host; t in 1, 5, 10, 25, 50, 100):
+    #   m=64   (||A||_1 6.6)   dense at every t
+    #   m=128  (7.5)           action at t=1, dense from t=5
+    #   m=256  (8.7)           action up to t=10, dense from t=25
+    #   m=512  (9.5)           action through t=100 (5 vs 90 ms at t=1)
+    #   m=1024 (10.7)          action through t=100 (12 vs 550 ms at t=1)
+    # The rule below switches at t = 2.4, 4.3, 7.4, 13, 24: on the faster
+    # side or conservative from m=256 up; below that either costs < 5 ms.
+    if t * scipy.linalg.norm(gen.A, 1) <= gen.m / 4:
+        out = sq * scipy.sparse.linalg.expm_multiply(-t * scipy.sparse.csr_array(gen.A), v)
+    else:
+        out = sq * (scipy.linalg.expm(-t * gen.A) @ v)
     if out.min() < -1e-10:
         raise ValueError(f"evolution produced probability {out.min()!r}")
     out = np.clip(out, 0.0, None)

@@ -56,6 +56,14 @@ def test_spectrum_prints_unit_rate_eigenvalues(cw5, capsys):
     assert vals[2] == pytest.approx(0.8169584944545751, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1, 33])
+def test_spectrum_rejects_k_out_of_range(cw5, capsys, k):
+    assert main(["spectrum", "--model", str(cw5), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k must lie in 0..32" in captured.err
+
+
 def test_spectrum_writes_out_file(cw5, tmp_path):
     out = tmp_path / "spec.txt"
     assert main(["spectrum", "--model", str(cw5), "--out", str(out)]) == 0

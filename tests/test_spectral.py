@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from multimix import CapacityError, FiniteDistribution, ParseError, SampleSet, tv_distance
+from multimix import (
+    CapacityError,
+    FiniteDistribution,
+    ParseError,
+    SampleSet,
+    chi2_divergence,
+    tv_distance,
+)
 from multimix.ising import (
     IsingModel,
     curie_weiss,
@@ -67,10 +77,13 @@ def brute_force_symmetrized(pi: FiniteDistribution, q: int = 2) -> np.ndarray:
     return A
 
 
-def chi2_via_expm(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> float:
+def evolve_via_expm(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> np.ndarray:
     # evolve the measure with the rate matrix directly: d mu/dt = L' mu
-    L = gen.rate_matrix()
-    mut = scipy.linalg.expm(t * L.T) @ mu0.probs
+    return scipy.linalg.expm(t * gen.rate_matrix().T) @ mu0.probs
+
+
+def chi2_via_expm(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> float:
+    mut = evolve_via_expm(gen, mu0, t)
     ratio = mut / gen.pi.probs - 1.0
     return float(np.sum(ratio * ratio * gen.pi.probs))
 
@@ -292,8 +305,6 @@ def test_chi2_trajectory_against_divergence_and_expm():
     times = np.array([0.0, 0.3, 1.0, 2.5])
     traj = chi2_trajectory(spec, mu0, times)
     # t = 0 reproduces the static chi-square divergence
-    from multimix import chi2_divergence
-
     assert traj[0] == pytest.approx(chi2_divergence(mu0, pi), rel=1e-10)
     for t, val in zip(times, traj):
         assert val == pytest.approx(chi2_via_expm(gen, mu0, float(t)), abs=1e-7)
@@ -323,6 +334,94 @@ def test_evolve_distribution_limits():
     mu0 = FiniteDistribution.delta(3, 32)
     assert tv_distance(evolve_distribution(gen, mu0, 0.0), mu0) <= 1e-12
     assert tv_distance(evolve_distribution(gen, mu0, 80.0), pi) <= 1e-10
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    # counts the calls evolve_distribution makes into each dense or sparse
+    # kernel it could route through, and into the eigensolvers it must avoid
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scipy.sparse.linalg, "expm_multiply")
+    count(scipy.linalg, "expm")
+    count(scipy.linalg, "eigh")
+    count(scipy.sparse.linalg, "eigsh")
+    return calls
+
+
+def _route_cases():
+    # label -> (generator, mu0): a delta start on the spin chain and a
+    # random full-support law on the Potts chain
+    rng = make_rng(23)
+    spin = build_glauber_generator(exact_distribution(curie_weiss(9, 1.5)))
+    potts = build_glauber_generator(exact_distribution(mean_field_potts(5, 3, 1.2)), 3)
+    weights = rng.exponential(size=potts.m)
+    return {
+        "spin": (spin, FiniteDistribution.delta(5, spin.m)),
+        "potts": (potts, FiniteDistribution(weights / weights.sum())),
+    }
+
+
+@pytest.mark.parametrize(
+    "case, t, route",
+    [
+        ("spin", 0.5, "expm_multiply"),
+        ("spin", 1.0, "expm_multiply"),
+        ("spin", 25.0, "expm"),
+        ("spin", 1000.0, "expm"),
+        ("potts", 1.0, "expm_multiply"),
+        ("potts", 25.0, "expm"),
+    ],
+)
+def test_evolve_distribution_matches_dense_oracle(solver_calls, case, t, route):
+    gen, mu0 = _route_cases()[case]
+    expected = evolve_via_expm(gen, mu0, t)
+    for name in solver_calls:
+        solver_calls[name] = 0
+    got = evolve_distribution(gen, mu0, t).probs
+    assert np.abs(got - expected).max() <= 1e-12
+    other = "expm" if route == "expm_multiply" else "expm_multiply"
+    assert solver_calls[route] == 1 and solver_calls[other] == 0
+    assert solver_calls["eigh"] == solver_calls["eigsh"] == 0
+
+
+def test_evolve_distribution_route_pin(solver_calls):
+    # short horizons take the semigroup action, long ones the dense
+    # exponential, whose cost grows only as log t (the action at t = 1e4
+    # is ~50x slower at n = 9)
+    gen = build_glauber_generator(exact_distribution(curie_weiss(9, 1.5)))
+    mu0 = FiniteDistribution.delta(0, gen.m)
+    evolve_distribution(gen, mu0, 1.0)
+    assert solver_calls["expm"] == 0 and solver_calls["expm_multiply"] == 1
+    evolve_distribution(gen, mu0, 1e4)
+    assert solver_calls["expm"] == 1 and solver_calls["expm_multiply"] == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    lattice=st.sampled_from([(q, n) for q in (2, 3) for n in range(1, 7)]),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 50.0),
+)
+@example(lattice=(2, 6), seed=0, t=0.5)
+@example(lattice=(3, 5), seed=1, t=50.0)
+def test_chi2_identity_between_spectrum_and_semigroup(lattice, seed, t):
+    q, n = lattice
+    rng = np.random.default_rng(seed)
+    pi, mu0 = (FiniteDistribution(w / w.sum()) for w in np.exp(rng.normal(size=(2, q**n))))
+    gen = build_glauber_generator(pi, q)
+    traj = chi2_trajectory(eigendecompose(gen), mu0, [t])[0]
+    assert traj == pytest.approx(chi2_divergence(evolve_distribution(gen, mu0, t), pi), abs=1e-9)
 
 
 def test_verify_balance_contraction_holds():
