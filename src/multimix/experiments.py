@@ -130,10 +130,6 @@ class _Runner:
         return out
 
 
-def _params(d: dict, label_order: tuple[str, ...]) -> str:
-    return " ".join(f"{k}={d[k]}" for k in label_order)
-
-
 def _ising_fixture(n: int = 8, seed: int = 606) -> IsingModel:
     """The fixed random Ising model used by the concentration studies."""
     rng = make_rng(seed, "default")

@@ -381,53 +381,6 @@ def glauber_ensemble_discrete(model: IsingModel, X0, steps: int, seed: int) -> n
     return _ensemble_rounds(model, X, counts, rng)
 
 
-def censored_glauber_step(
-    model: IsingModel, x, rng: np.random.Generator
-) -> np.ndarray:
-    """Heat-bath update restricted to positive magnetization.
-
-    Requires an odd spin count (so the magnetization is never zero) and a
-    current state with sum(x) > 0. When the update would go negative, the
-    whole configuration is flipped back into the positive half; under a
-    sign-symmetric model this leaves pi conditioned on {sum(x) > 0}
-    stationary.
-    """
-    x = _validate_config(model, x)
-    _check_censorable(model)
-    if x.sum() <= 0.0:
-        raise ValueError("censored dynamics requires positive magnetization")
-    nxt = glauber_step_discrete(model, x, rng)
-    return -nxt if nxt.sum() < 0.0 else nxt
-
-
-def _check_censorable(model: IsingModel) -> None:
-    if model.n % 2 == 0:
-        raise ValueError("censored dynamics needs an odd number of spins")
-    # reflection only preserves the restricted law when pi(x) = pi(-x)
-    if np.abs(model.b).max() > 0.0:
-        raise ValueError("censored dynamics needs a sign-symmetric model (zero fields)")
-
-
-def censored_ensemble_discrete(model: IsingModel, X0, steps: int, seed: int) -> np.ndarray:
-    """Many censored chains advanced by a fixed number of updates each."""
-    X = np.array(X0, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n:
-        raise ValueError(f"replica matrix has shape {X.shape}, expected (R, {model.n})")
-    _check_censorable(model)
-    if X.sum(axis=1).min() <= 0.0:
-        raise ValueError("censored dynamics requires positive magnetization")
-    rng = make_rng(seed, "glauber")
-    rows = np.arange(X.shape[0])
-    for _ in range(steps):
-        coords = rng.integers(0, model.n, X.shape[0])
-        unifs = rng.random(X.shape[0])
-        z = np.einsum("rj,rj->r", model.J[coords], X) + model.b[coords]
-        X[rows, coords] = np.where(unifs < expit(2.0 * z), 1.0, -1.0)
-        neg = X.sum(axis=1) < 0.0
-        X[neg] *= -1.0
-    return X
-
-
 # ---------------------------------------------------------------------------
 # sampling and files
 

@@ -12,8 +12,6 @@ from multimix.ising import (
     GlauberTrajectory,
     IsingModel,
     PottsModel,
-    censored_ensemble_discrete,
-    censored_glauber_step,
     conditional_prob,
     curie_weiss,
     dump_ising_model,
@@ -307,80 +305,6 @@ def test_rate_matrix_consistency():
         off[idx, idx ^ (1 << i)] = 0.0
     assert np.all(off == 0.0)  # single-flip moves only
     assert np.abs(L.sum(axis=1)).max() <= 1e-12
-
-
-def test_censored_step_basics():
-    model = curie_weiss(3, 1.0)
-    rng = make_rng(39, "glauber")
-    for _ in range(30):
-        out = censored_glauber_step(model, np.ones(3), rng)
-        assert out.sum() in (1.0, 3.0)
-    with pytest.raises(ValueError, match="magnetization"):
-        censored_glauber_step(model, -np.ones(3), rng)
-    with pytest.raises(ValueError, match="odd"):
-        censored_glauber_step(curie_weiss(4, 1.0), np.ones(4), rng)
-    with pytest.raises(ValueError, match="sign-symmetric"):
-        censored_glauber_step(
-            IsingModel(np.zeros((3, 3)), np.array([0.3, 0.0, 0.0])), np.ones(3), rng
-        )
-
-
-def test_censored_stationary_law():
-    n = 7
-    model = curie_weiss(n, 1.5)
-    pi = exact_distribution(model)
-    mag = states_matrix(n).sum(axis=1)
-    pos = np.flatnonzero(mag > 0)
-    restricted = pi.probs[pos] / pi.probs[pos].sum()
-    # exact: the censored kernel fixes the restricted law
-    L = rate_matrix(model)
-    pos_pos = {int(s): j for j, s in enumerate(pos)}
-    P = np.zeros((pos.size, pos.size))
-    full = (1 << n) - 1
-    for j, x in enumerate(pos):
-        for i in range(n):
-            y = int(x) ^ (1 << i)
-            dest = y if mag[y] > 0 else y ^ full
-            P[j, pos_pos[dest]] += L[x, y] / n
-        P[j, j] += 1.0 + L[x, x] / n
-    assert np.abs(restricted @ P - restricted).max() <= 1e-12
-    # Monte Carlo long run agrees
-    X0 = np.tile(np.ones(n), (20_000, 1))
-    X = censored_ensemble_discrete(model, X0, 400, seed=5)
-    emp_idx = ((X > 0) @ (1 << np.arange(n, dtype=np.int64))).astype(int)
-    emp = np.bincount(emp_idx, minlength=1 << n)[pos] / X.shape[0]
-    assert 0.5 * np.abs(emp - restricted).sum() <= 0.03
-
-
-def test_censored_dirichlet_identity_for_even_functions():
-    # an even function on the full space carries the same Dirichlet energy
-    # as its restriction under the censored (reflected) dynamics
-    n = 5
-    m = 1 << n
-    model = curie_weiss(n, 1.5)
-    pi = exact_distribution(model).probs
-    mag = states_matrix(n).sum(axis=1)
-    pos = np.flatnonzero(mag > 0)
-    L = rate_matrix(model)
-    rng = make_rng(44)
-    f_pos = rng.normal(size=pos.size)
-    lookup = {int(s): f_pos[j] for j, s in enumerate(pos)}
-    full = m - 1
-    f_even = np.array([lookup[x] if mag[x] > 0 else lookup[x ^ full] for x in range(m)])
-    energy_full = 0.0
-    for x in range(m):
-        for i in range(n):
-            y = x ^ (1 << i)
-            energy_full += 0.5 * pi[x] * L[x, y] * (f_even[y] - f_even[x]) ** 2
-    energy_censored = 0.0
-    for x in pos:
-        for i in range(n):
-            y = int(x) ^ (1 << i)
-            dest = y if mag[y] > 0 else y ^ full
-            energy_censored += (
-                0.5 * (2.0 * pi[x]) * L[x, y] * (lookup[dest] - lookup[int(x)]) ** 2
-            )
-    assert energy_full == pytest.approx(energy_censored, abs=1e-10)
 
 
 def test_curie_weiss_f2_odd_and_magnetization_measurable():

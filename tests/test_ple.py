@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimix import CapacityError, FiniteDistribution, SampleSet, tv_distance
 from multimix.ising import (
@@ -18,6 +22,7 @@ from multimix.ple import (
     LearnReport,
     PleConfig,
     _margins,
+    _project_rows,
     _weighted_gradient,
     _weighted_loss,
     certify_terminal_tv,
@@ -31,7 +36,7 @@ from multimix.ple import (
 )
 from multimix.rng import make_rng
 from multimix.spectral import build_glauber_generator, evolve_distribution
-from scipy.special import expit, log_expit
+from scipy.special import expit, log_expit, rel_entr
 
 
 def zero_model(n: int) -> IsingModel:
@@ -65,6 +70,28 @@ def exact_conditional_kl(truth: IsingModel, fitted: IsingModel) -> float:
         log_expit(-at) - log_expit(-af)
     )
     return float(pi @ kl.sum(axis=1) / truth.n)
+
+
+def enumerated_path_laws(truth: IsingModel, fitted: IsingModel, steps: int, init):
+    """Laws of (X_0, ..., X_t) under both discrete heat-bath chains, as
+    tensors with one axis per time; init holds the law of X_0 in its last
+    axis (np.eye(m) gives one law per starting state)."""
+    m = 1 << truth.n
+    laws = []
+    for model in (truth, fitted):
+        L = build_glauber_generator(exact_distribution(model)).rate_matrix()
+        K = np.eye(m) + L / model.n
+        law = init
+        for _ in range(steps):
+            law = law[..., None] * K
+        laws.append(law)
+    return laws
+
+
+def enumerated_trajectory_kl(truth: IsingModel, fitted: IsingModel, steps: int) -> float:
+    """The trajectory KL by enumerating all m^(t+1) paths from pi."""
+    tp, tq = enumerated_path_laws(truth, fitted, steps, exact_distribution(truth).probs)
+    return float(rel_entr(tp, tq).sum())
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +188,49 @@ def test_loss_input_validation():
         pseudolikelihood_loss(zero_model(4), np.ones((0, 4)))
     with pytest.raises(ValueError):
         fit(np.ones((0, 4)), PleConfig(radius=1.0))
+
+
+# ---------------------------------------------------------------------------
+# l1-ball projection
+
+
+def bisection_projection(M: np.ndarray, radius: float) -> np.ndarray:
+    """Reference projection: for each row outside the ball, bisect the
+    threshold tau solving sum_j max(|M_ij| - tau, 0) = radius, then shrink
+    every magnitude by tau."""
+    A = np.abs(M)
+    out = M.copy()
+    for i in np.flatnonzero(A.sum(axis=1) > radius):
+        lo, hi = 0.0, A[i].max()
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if np.maximum(A[i] - mid, 0.0).sum() > radius:
+                lo = mid
+            else:
+                hi = mid
+        out[i] = np.sign(M[i]) * np.maximum(A[i] - hi, 0.0)
+    return out
+
+
+# ties and zeros alongside arbitrary magnitudes
+projection_entries = st.one_of(
+    st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6), radius=st.floats(0.01, 20.0))
+def test_project_rows_onto_the_l1_ball(data, n, radius):
+    M = data.draw(arrays(np.float64, (n, n + 1), elements=projection_entries))
+    J, b = _project_rows(M[:, :-1], M[:, -1], radius)
+    out = np.column_stack([J, b])
+    assert np.all(np.abs(out).sum(axis=1) <= radius + 1e-12)
+    # rows inside the ball come back bitwise, up to the sign of a zero
+    inside = np.abs(M).sum(axis=1) <= radius
+    assert out[inside].tobytes() == (M[inside] + 0.0).tobytes()
+    # no sign flips, magnitudes only shrink
+    assert np.all(out * M >= 0.0) and np.all(np.abs(out) <= np.abs(M))
+    assert np.abs(out - bisection_projection(M, radius)).max(initial=0.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +372,20 @@ def test_diagnostic_dimension_check():
 def test_trajectory_kl_vanishes_for_equal_models():
     model = random_model(7, 5)
     assert trajectory_kl(model, model, 3) == 0.0
+    assert trajectory_kl(model, model, 100) == 0.0
+
+
+def test_trajectory_kl_matches_enumerated_paths():
+    # chain rule against the full path enumeration: 24 pairs, n in {3, 4, 5},
+    # small and large perturbations, steps 0-3
+    for s in range(24):
+        n = 3 + s % 3
+        truth = random_model(300 + s, n)
+        fitted = perturbed(truth, 400 + s, 0.1 if s < 12 else 1.0)
+        for t in range(4):
+            got = trajectory_kl(truth, fitted, t)
+            want = enumerated_trajectory_kl(truth, fitted, t)
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_trajectory_kl_is_bounded_by_steps_times_conditional_kl():
@@ -320,9 +404,28 @@ def test_trajectory_kl_is_bounded_by_steps_times_conditional_kl():
             prev = kl
 
 
+def test_trajectory_kl_beyond_the_old_tuple_cap():
+    # 64^6 and 4096^51 paths: out of reach for enumeration, linear in t here
+    truth = random_model(61, 6)
+    fitted = perturbed(truth, 62, 0.3)
+    kl = trajectory_kl(truth, fitted, 5)
+    assert math.isfinite(kl) and kl > 0.0
+    assert kl == 5 * trajectory_kl(truth, fitted, 1)
+    assert kl == pytest.approx(5 * enumerated_trajectory_kl(truth, fitted, 1), rel=1e-12)
+
+    truth = random_model(121, 12)
+    fitted = perturbed(truth, 122, 0.3)
+    start = time.perf_counter()
+    kl = trajectory_kl(truth, fitted, 50)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(kl) and kl > 0.0
+    assert kl == 50 * trajectory_kl(truth, fitted, 1)
+
+
 def test_trajectory_kl_guards():
+    # the only cap left is state enumeration (n <= 20)
     with pytest.raises(CapacityError):
-        trajectory_kl(zero_model(6), zero_model(6), 3)
+        trajectory_kl(zero_model(21), zero_model(21), 1)
     with pytest.raises(ValueError):
         trajectory_kl(zero_model(5), zero_model(5), -1)
     with pytest.raises(ValueError):
@@ -349,14 +452,7 @@ def test_sample_initialized_trajectories_concentrate():
     bound = math.sqrt(steps * eps) + 2.0 * math.log(1.0 / gamma) / m_init
 
     m = 1 << n
-    TP, TQ = np.eye(m), np.eye(m)
-    P, Q = (
-        np.eye(m) + build_glauber_generator(exact_distribution(model)).rate_matrix() / n
-        for model in (truth, fitted)
-    )
-    for _ in range(steps):
-        TP = TP[..., None] * P
-        TQ = TQ[..., None] * Q
+    TP, TQ = enumerated_path_laws(truth, fitted, steps, np.eye(m))
     per_start = 0.5 * np.abs(TP - TQ).reshape(m, -1).sum(axis=1)
 
     pi = exact_distribution(truth).probs
@@ -437,8 +533,10 @@ def test_learn_and_sample_monte_carlo_fallback():
 
 
 def test_learn_and_sample_guards():
-    with pytest.raises(CapacityError):
-        learn_and_sample(zero_model(22), 10, 10, PleConfig(radius=1.0), horizon=1.0)
+    # sampling the truth enumerates its states, which caps n at 20
+    for n in (21, 22):
+        with pytest.raises(CapacityError):
+            learn_and_sample(zero_model(n), 10, 10, PleConfig(radius=1.0), horizon=1.0)
     with pytest.raises(ValueError):
         learn_and_sample(zero_model(5), 0, 10, PleConfig(radius=1.0), horizon=1.0)
     with pytest.raises(ValueError):
