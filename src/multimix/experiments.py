@@ -97,7 +97,7 @@ class ExperimentConfig:
             raise ParseError(f"unknown experiment {self.name!r}")
         if not self.seeds:
             raise ParseError(f"experiment {self.name!r} declares no seeds")
-        unknown = sorted(set(self.params) - PARAMETERS[self.name])
+        unknown = sorted(set(self.params) - set(PARAMETERS[self.name]))
         if unknown:
             raise ParseError(
                 f"experiment {self.name!r} has unknown parameter(s) "
@@ -106,14 +106,15 @@ class ExperimentConfig:
 
 
 class _Runner:
-    """Submits sweep-point tasks to the shared pool; results come back in
-    submission order, so output ordering never depends on scheduling."""
+    """Submits sweep-point tasks to the shared pool; `map` returns each task's
+    rows as one list, in submission order, so output ordering never depends
+    on scheduling."""
 
     def __init__(self, pool: ThreadPoolExecutor, timings: bool):
         self._pool = pool
         self._timings = timings
 
-    def map(self, tasks):
+    def map(self, tasks) -> list[list[ResultRow]]:
         def timed(fn):
             def call():
                 start = time.perf_counter()
@@ -124,10 +125,7 @@ class _Runner:
             return call
 
         futures = [self._pool.submit(timed(fn)) for fn in tasks]
-        out = []
-        for fut in futures:
-            out.extend(fut.result())
-        return out
+        return [fut.result() for fut in futures]
 
 
 def _ising_fixture(n: int = 8, seed: int = 606) -> IsingModel:
@@ -182,16 +180,57 @@ def _projection_tv(samples: np.ndarray, model: MixtureModel, bins: int = 60) -> 
 # catalog
 
 
+def _flatten(groups) -> list[ResultRow]:
+    return [r for rows in groups for r in rows]
+
+
+def _data_started_tv(model: MixtureModel, score, seed: int, step, horizon, chains) -> float:
+    """Projection TV of LMC started from 500 stationary draws of `model`."""
+    init = sample_mixture(model, 500, seed + 11)
+    res = lmc_run(init, score, LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains))
+    return _projection_tv(res.samples.data, model)
+
+
+def _hs_certificate(experiment: str, label: str, model, c: float):
+    """Split, field net, mixture density, sandwich and exact refinement of one
+    model. Returns the rows fields, min_ratio, max_ratio, passed and
+    refine_error, then the net, the law and the refined components."""
+    split = split_spectrum(model, c)
+    net = build_field_net(split, 1.0, model.n)
+    pi = exact_distribution(model)
+    pi2, components = mixture_density(net, split, model)
+    cert = certify_sandwich(pi, pi2)
+    # spin components come back as models, Potts components as laws
+    if isinstance(model, IsingModel):
+        components = [exact_distribution(m) for m in components]
+    q, refined = exact_mixture_refinement(pi, net.weights, components)
+    recon = q @ np.stack([d.probs for d in refined])
+    values = (
+        ("fields", float(net.count)),
+        ("min_ratio", cert.min_ratio),
+        ("max_ratio", cert.max_ratio),
+        ("passed", float(cert.passed)),
+        ("refine_error", float(np.abs(recon - pi.probs).max())),
+    )
+    rows = [ResultRow(experiment, label, name, v) for name, v in values]
+    return rows, net, pi, refined
+
+
+def _certified(rows) -> bool:
+    """The verdict on the rows `_hs_certificate` returns."""
+    return rows[3].value == 1.0 and rows[4].value <= 1e-10
+
+
 def _exp_balance_concentration(params, seeds, runner):
-    n = int(params.get("n", 8))
-    k = int(params.get("k", 4))
-    sizes = [int(v) for v in params.get("m", (50, 200, 800, 3200))]
-    redraws = int(params.get("redraws", 200))
-    lo, hi = params.get("slope_window", (-0.65, -0.35))
-    if "model" in params:
-        model = load_ising_model(Path(params["model"]).read_text())
-    else:
+    n = int(params["n"])
+    k = int(params["k"])
+    sizes = [int(v) for v in params["m"]]
+    redraws = int(params["redraws"])
+    lo, hi = params["slope_window"]
+    if params["model"] is None:
         model = _ising_fixture(n)
+    else:
+        model = load_ising_model(Path(params["model"]).read_text())
     spectrum = eigendecompose(build_glauber_generator(exact_distribution(model)), k)
     base_seed = seeds[0]
 
@@ -215,9 +254,10 @@ def _exp_balance_concentration(params, seeds, runner):
 
         return task
 
-    rows = runner.map([point(m) for m in sizes])
-    medians = [r.value for r in rows if r.metric == "median_balance"]
+    groups = runner.map([point(m) for m in sizes])
+    medians = [rows[0].value for rows in groups]
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
+    rows = _flatten(groups)
     rows.append(
         ResultRow("balance-concentration", f"n={model.n} k={k}", "loglog_slope", slope)
     )
@@ -225,9 +265,9 @@ def _exp_balance_concentration(params, seeds, runner):
 
 
 def _exp_cw_gap_scaling(params, seeds, runner):
-    sweep = [int(v) for v in params.get("n", (5, 7, 9, 11))]
-    beta = float(params.get("beta", 1.5))
-    ratio_cap = float(params.get("ratio_cap", 0.7))
+    sweep = [int(v) for v in params["n"]]
+    beta = float(params["beta"])
+    ratio_cap = float(params["ratio_cap"])
 
     def point(n):
         def task():
@@ -247,26 +287,23 @@ def _exp_cw_gap_scaling(params, seeds, runner):
 
         return task
 
-    rows = runner.map([point(n) for n in sweep])
-    # the runner returns rows in submission order: one lambda2 per sweep point
-    lam2 = [r.value for r in rows if r.metric == "lambda2"]
+    groups = runner.map([point(n) for n in sweep])
+    rows = _flatten(groups)
     ok = True
-    for b, lo, hi in zip(sweep[1:], lam2, lam2[1:]):
-        ratio = hi / lo
-        rows.append(
-            ResultRow("cw-gap-scaling", f"n={b} beta={beta}", "lambda2_ratio", ratio)
-        )
+    for lo, hi in zip(groups, groups[1:]):
+        ratio = hi[0].value / lo[0].value
+        rows.append(ResultRow("cw-gap-scaling", hi[0].parameters, "lambda2_ratio", ratio))
         ok &= ratio <= ratio_cap
-    cubes = [r.value for r in rows if r.metric == "n3_lambda3"]
-    ok &= all(v >= 0.9 * min(cubes) for v in cubes)
+    cubes = [g[2].value for g in groups]
+    ok &= all(v >= 0.9 * cubes[0] for v in cubes)
     return rows, ok
 
 
 def _exp_langevin_metastability(params, seeds, runner):
-    step = float(params.get("step", 1e-3))
-    horizon = float(params.get("horizon", 10.0))
-    chains = int(params.get("chains", 10_000))
-    pool_size = int(params.get("stationary_samples", 500))
+    step = float(params["step"])
+    horizon = float(params["horizon"])
+    chains = int(params["chains"])
+    pool_size = int(params["stationary_samples"])
     model = _bimodal_fixture()
     score = exact_score(model)
 
@@ -287,102 +324,69 @@ def _exp_langevin_metastability(params, seeds, runner):
 
         return task
 
-    rows = runner.map([one(s, m) for s in seeds for m in ("data", "single")])
-    ok = True
-    for r in rows:
-        if r.metric == "right_mode_fraction":
-            ok &= 0.45 <= r.value <= 0.55
-        if r.metric == "stay_fraction":
-            ok &= r.value >= 0.95
-    return rows, ok
+    groups = runner.map([one(s, m) for s in seeds for m in ("data", "single")])
+    fracs = [rows[0].value for rows in groups]
+    ok = all(0.45 <= v <= 0.55 for v in fracs[::2]) and all(v >= 0.95 for v in fracs[1::2])
+    return _flatten(groups), ok
 
 
 def _exp_score_robustness(params, seeds, runner):
-    eps_grid = [float(v) for v in params.get("eps_sc", (0.0, 0.2, 0.5, 1.0))]
-    step = float(params.get("step", 5e-3))
-    horizon = float(params.get("horizon", 5.0))
-    chains = int(params.get("chains", 10_000))
+    eps_grid = [float(v) for v in params["eps_sc"]]
+    step = float(params["step"])
+    horizon = float(params["horizon"])
+    chains = int(params["chains"])
     model = _bimodal_fixture()
 
     def one(seed, eps):
         def task():
             score = perturb_score(model, eps, seed=seed + 101)
-            init = sample_mixture(model, 500, seed + 11)
-            cfg = LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains)
-            res = lmc_run(init, score, cfg)
-            tv = _projection_tv(res.samples.data, model)
+            tv = _data_started_tv(model, score, seed, step, horizon, chains)
             label = f"seed={seed} eps_sc={eps}"
             return [ResultRow("score-robustness", label, "terminal_tv", tv)]
 
         return task
 
-    rows = runner.map([one(s, e) for s in seeds for e in eps_grid])
+    groups = runner.map([one(s, e) for s in seeds for e in eps_grid])
+    rows = _flatten(groups)
+    width = len(eps_grid)
     votes = 0
-    for s in seeds:
-        tvs = [
-            r.value
-            for e in eps_grid
-            for r in rows
-            if r.parameters == f"seed={s} eps_sc={e}" and r.metric == "terminal_tv"
-        ]
+    for i, s in enumerate(seeds):
+        tvs = [g[0].value for g in groups[i * width : (i + 1) * width]]
         monotone = all(a < b for a, b in zip(tvs, tvs[1:]))
         # record the shape against the sqrt(T)*eps trend: increments per
         # unit of eps^2 should shrink if degradation is concave in eps^2
         sq = np.diff(tvs) / np.diff(np.square(eps_grid))
         concave = bool(np.all(np.diff(sq) <= 0.0))
-        rows.append(
-            ResultRow("score-robustness", f"seed={s}", "monotone", float(monotone))
-        )
-        rows.append(
-            ResultRow(
-                "score-robustness", f"seed={s}", "concave_in_eps_sq", float(concave)
-            )
-        )
+        label = f"seed={s}"
+        rows.append(ResultRow("score-robustness", label, "monotone", float(monotone)))
+        rows.append(ResultRow("score-robustness", label, "concave_in_eps_sq", float(concave)))
         votes += monotone
     return rows, votes * 2 > len(seeds)
 
 
 def _exp_hs_sandwich(params, seeds, runner):
-    sweep = [int(v) for v in params.get("n", (5, 7, 9))]
-    beta = float(params.get("beta", 1.5))
-    c = float(params.get("c", 2.0))
+    sweep = [int(v) for v in params["n"]]
+    beta = float(params["beta"])
+    c = float(params["c"])
 
     def point(n):
         def task():
-            model = curie_weiss(n, beta)
-            split = split_spectrum(model, c)
-            net = build_field_net(split, 1.0, n)
-            pi = exact_distribution(model)
-            pi2, components = mixture_density(net, split, model)
-            cert = certify_sandwich(pi, pi2)
-            dists = [exact_distribution(m) for m in components]
-            q, refined = exact_mixture_refinement(pi, net.weights, dists)
-            recon = q @ np.stack([d.probs for d in refined])
-            err = float(np.abs(recon - pi.probs).max())
             label = f"n={n} beta={beta} c={c}"
-            return [
-                ResultRow("hs-sandwich", label, "fields", float(net.count)),
-                ResultRow("hs-sandwich", label, "min_ratio", cert.min_ratio),
-                ResultRow("hs-sandwich", label, "max_ratio", cert.max_ratio),
-                ResultRow("hs-sandwich", label, "passed", float(cert.passed)),
-                ResultRow("hs-sandwich", label, "refine_error", err),
-            ]
+            return _hs_certificate("hs-sandwich", label, curie_weiss(n, beta), c)[0]
 
         return task
 
-    rows = runner.map([point(n) for n in sweep])
-    ok = all(r.value == 1.0 for r in rows if r.metric == "passed")
-    ok &= all(r.value <= 1e-10 for r in rows if r.metric == "refine_error")
-    return rows, ok
+    groups = runner.map([point(n) for n in sweep])
+    return _flatten(groups), all(_certified(rows) for rows in groups)
 
 
 def _exp_learn_ising_e2e(params, seeds, runner):
-    n = int(params.get("n", 8))
-    top = float(params.get("top_eigenvalue", 1.5))
-    m_fit = int(params.get("m_fit", 20_000))
-    m_init = int(params.get("m_init", 2000))
-    horizon = float(params.get("horizon", 25.0))
-    truth = low_rank_ising(n, 1, [top], 0.2, seed=int(params.get("model_seed", 4)))
+    n = int(params["n"])
+    top = float(params["top_eigenvalue"])
+    m_fit = int(params["m_fit"])
+    m_init = int(params["m_init"])
+    horizon = float(params["horizon"])
+    truth = low_rank_ising(n, 1, [top], 0.2, seed=int(params["model_seed"]))
     radius = float(row_norms(truth).max())
 
     def one(seed):
@@ -390,45 +394,32 @@ def _exp_learn_ising_e2e(params, seeds, runner):
             report = learn_and_sample(
                 truth, m_fit, m_init, PleConfig(radius=radius, seed=seed), horizon
             )
+            values = [("epsilon_hat", report.fit.epsilon_hat), ("terminal_tv", report.tv)]
+            # the Monte Carlo fallback above the certification cap has no balance
+            if report.exact:
+                values.append(("balance", report.balance.value))
+            values.append(("converged", float(report.fit.converged)))
             label = f"n={n} m_fit={m_fit} seed={seed}"
-            return [
-                ResultRow("learn-ising-e2e", label, "epsilon_hat", report.fit.epsilon_hat),
-                ResultRow("learn-ising-e2e", label, "terminal_tv", report.tv),
-                ResultRow("learn-ising-e2e", label, "balance", report.balance.value),
-                ResultRow(
-                    "learn-ising-e2e", label, "converged", float(report.fit.converged)
-                ),
-            ]
+            return [ResultRow("learn-ising-e2e", label, name, v) for name, v in values]
 
         return task
 
-    rows = runner.map([one(s) for s in seeds])
-    votes = 0
-    for s in seeds:
-        label = f"n={n} m_fit={m_fit} seed={s}"
-        eps = next(r.value for r in rows if r.parameters == label and r.metric == "epsilon_hat")
-        tv = next(r.value for r in rows if r.parameters == label and r.metric == "terminal_tv")
-        votes += eps <= 0.01 and tv <= 0.15
-    return rows, votes * 2 > len(seeds)
+    groups = runner.map([one(s) for s in seeds])
+    votes = sum(rows[0].value <= 0.01 and rows[1].value <= 0.15 for rows in groups)
+    return _flatten(groups), votes * 2 > len(seeds)
 
 
 def _exp_potts_gap(params, seeds, runner):
-    n = int(params.get("n", 4))
-    q = int(params.get("q", 3))
-    beta = float(params.get("beta", 1.2))
-    c = float(params.get("c", 2.0))
-    gap_sample = int(params.get("component_gap_sample", 64))
+    n = int(params["n"])
+    q = int(params["q"])
+    beta = float(params["beta"])
+    c = float(params["c"])
+    gap_sample = int(params["component_gap_sample"])
 
     def task():
+        label = f"n={n} q={q} beta={beta}"
         model = mean_field_potts(n, q, beta)
-        split = split_spectrum(model, c)
-        net = build_field_net(split, 1.0, n)
-        pi = exact_distribution(model)
-        pi2, components = mixture_density(net, split, model)
-        cert = certify_sandwich(pi, pi2)
-        qw, refined = exact_mixture_refinement(pi, net.weights, components)
-        recon = qw @ np.stack([d.probs for d in refined])
-        err = float(np.abs(recon - pi.probs).max())
+        rows, net, pi, refined = _hs_certificate("potts-gap", label, model, c)
         # eigensolving every component is out of reach; a deterministic
         # stride plus the strongest tilt stands in for the minimum
         stride = max(1, net.count // gap_sample)
@@ -439,30 +430,22 @@ def _exp_potts_gap(params, seeds, runner):
         ]
         k_eff = min(net.count, pi.m - 1)
         spec = eigendecompose(build_glauber_generator(pi, q), k_eff + 1)
-        mixture_gap = float(spec.eigenvalues[k_eff])
-        label = f"n={n} q={q} beta={beta}"
-        return [
-            ResultRow("potts-gap", label, "fields", float(net.count)),
-            ResultRow("potts-gap", label, "min_ratio", cert.min_ratio),
-            ResultRow("potts-gap", label, "max_ratio", cert.max_ratio),
-            ResultRow("potts-gap", label, "passed", float(cert.passed)),
-            ResultRow("potts-gap", label, "refine_error", err),
+        return rows + [
             ResultRow("potts-gap", label, "min_component_gap", min(gaps)),
-            ResultRow("potts-gap", label, "mixture_gap", mixture_gap),
+            ResultRow("potts-gap", label, "mixture_gap", float(spec.eigenvalues[k_eff])),
         ]
 
-    rows = runner.map([task])
-    value = {r.metric: r.value for r in rows}
-    ok = value["passed"] == 1.0 and value["refine_error"] <= 1e-10
-    ok &= value["mixture_gap"] >= value["min_component_gap"] * GAP_TRANSFER - 1e-8
-    return rows, ok
+    [rows] = runner.map([task])
+    min_gap, mixture_gap = rows[5].value, rows[6].value
+    return rows, _certified(rows) and mixture_gap >= min_gap * GAP_TRANSFER - 1e-8
 
 
 def _exp_min_weight_free(params, seeds, runner):
-    tiny = float(params.get("tiny_weight", 1e-4))
-    step = float(params.get("step", 5e-3))
-    horizon = float(params.get("horizon", 5.0))
-    chains = int(params.get("chains", 10_000))
+    tiny = float(params["tiny_weight"])
+    step = float(params["step"])
+    horizon = float(params["horizon"])
+    chains = int(params["chains"])
+    shift_cap = float(params["shift_cap"])
     big = 0.5 * (1.0 - tiny)
     eye = np.eye(1)
     model = MixtureModel(
@@ -478,38 +461,21 @@ def _exp_min_weight_free(params, seeds, runner):
     def one(seed, dropped):
         def task():
             score = submixture_score(model, kept) if dropped else exact_score(model)
-            init = sample_mixture(model, 500, seed + 11)
-            cfg = LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains)
-            res = lmc_run(init, score, cfg)
-            tv = _projection_tv(res.samples.data, model)
+            tv = _data_started_tv(model, score, seed, step, horizon, chains)
             name = "terminal_tv_dropped" if dropped else "terminal_tv_full"
             return [ResultRow("min-weight-free", f"seed={seed}", name, tv)]
 
         return task
 
-    rows = runner.map([one(s, d) for s in seeds for d in (False, True)])
-    err = submixture_score_error(
-        model, kept, sample_mixture(model, 4000, seeds[0] + 23)
-    )
-    rows.append(
-        ResultRow("min-weight-free", f"seed={seeds[0]}", "dropped_score_error", err)
-    )
+    groups = runner.map([one(s, d) for s in seeds for d in (False, True)])
+    rows = _flatten(groups)
+    err = submixture_score_error(model, kept, sample_mixture(model, 4000, seeds[0] + 23))
+    rows.append(ResultRow("min-weight-free", rows[0].parameters, "dropped_score_error", err))
     ok = True
-    for s in seeds:
-        full = next(
-            r.value
-            for r in rows
-            if r.parameters == f"seed={s}" and r.metric == "terminal_tv_full"
-        )
-        dropped = next(
-            r.value
-            for r in rows
-            if r.parameters == f"seed={s}" and r.metric == "terminal_tv_dropped"
-        )
-        rows.append(
-            ResultRow("min-weight-free", f"seed={s}", "tv_shift", abs(full - dropped))
-        )
-        ok &= abs(full - dropped) <= float(params.get("shift_cap", 0.02))
+    for [full], [dropped] in zip(groups[::2], groups[1::2]):
+        shift = abs(full.value - dropped.value)
+        rows.append(ResultRow("min-weight-free", full.parameters, "tv_shift", shift))
+        ok &= shift <= shift_cap
     return rows, ok
 
 
@@ -524,19 +490,47 @@ CATALOG = {
     "min-weight-free": _exp_min_weight_free,
 }
 
-# The parameter keys each experiment reads; any other key is rejected so a
-# misspelt override cannot silently fall back to the default.
+# Each experiment's parameter keys with their defaults; any other key is
+# rejected so a misspelt override cannot silently fall back to the default.
 PARAMETERS = {
-    "balance-concentration": frozenset({"n", "k", "m", "redraws", "slope_window", "model"}),
-    "cw-gap-scaling": frozenset({"n", "beta", "ratio_cap"}),
-    "langevin-metastability": frozenset({"step", "horizon", "chains", "stationary_samples"}),
-    "score-robustness": frozenset({"eps_sc", "step", "horizon", "chains"}),
-    "hs-sandwich": frozenset({"n", "beta", "c"}),
-    "learn-ising-e2e": frozenset(
-        {"n", "top_eigenvalue", "m_fit", "m_init", "horizon", "model_seed"}
-    ),
-    "potts-gap": frozenset({"n", "q", "beta", "c", "component_gap_sample"}),
-    "min-weight-free": frozenset({"tiny_weight", "step", "horizon", "chains", "shift_cap"}),
+    "balance-concentration": {
+        "n": 8,
+        "k": 4,
+        "m": (50, 200, 800, 3200),
+        "redraws": 200,
+        "slope_window": (-0.65, -0.35),
+        "model": None,
+    },
+    "cw-gap-scaling": {"n": (5, 7, 9, 11), "beta": 1.5, "ratio_cap": 0.7},
+    "langevin-metastability": {
+        "step": 1e-3,
+        "horizon": 10.0,
+        "chains": 10_000,
+        "stationary_samples": 500,
+    },
+    "score-robustness": {
+        "eps_sc": (0.0, 0.2, 0.5, 1.0),
+        "step": 5e-3,
+        "horizon": 5.0,
+        "chains": 10_000,
+    },
+    "hs-sandwich": {"n": (5, 7, 9), "beta": 1.5, "c": 2.0},
+    "learn-ising-e2e": {
+        "n": 8,
+        "top_eigenvalue": 1.5,
+        "m_fit": 20_000,
+        "m_init": 2000,
+        "horizon": 25.0,
+        "model_seed": 4,
+    },
+    "potts-gap": {"n": 4, "q": 3, "beta": 1.2, "c": 2.0, "component_gap_sample": 64},
+    "min-weight-free": {
+        "tiny_weight": 1e-4,
+        "step": 5e-3,
+        "horizon": 5.0,
+        "chains": 10_000,
+        "shift_cap": 0.02,
+    },
 }
 
 
@@ -668,15 +662,15 @@ def run(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runner = _Runner(pool, timings)
             for cfg in configs:
-                rows, passed = CATALOG[cfg.name](cfg.params, list(cfg.seeds), runner)
+                params = {**PARAMETERS[cfg.name], **cfg.params}
+                rows, passed = CATALOG[cfg.name](params, list(cfg.seeds), runner)
                 passed &= _check_requirements(rows, cfg.require)
                 all_rows.extend(rows)
                 summary.append({"name": cfg.name, "passed": bool(passed)})
                 overall &= passed
-    except CapacityError:
-        return 3
-    except (ParseError, FileNotFoundError):
-        return 2
+    except (CapacityError, ParseError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, CapacityError) else 2
 
     _atomic_write(out_path, _render_csv(all_rows))
     digest = {"passed": bool(overall), "experiments": summary}

@@ -25,8 +25,6 @@ from .errors import CapacityError, ParseError
 from .measures import MAX_STATES, FiniteDistribution, _readonly
 from .rng import make_rng
 
-MAX_EXACT_SPINS = 20
-
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -122,8 +120,8 @@ class GlauberTrajectory:
 
 def states_matrix(n: int) -> np.ndarray:
     """All 2^n spin configurations as a (2^n, n) +-1 matrix, row x = state x."""
-    if n < 1 or n > MAX_EXACT_SPINS:
-        raise CapacityError(f"state enumeration supports 1..{MAX_EXACT_SPINS} spins, got {n}")
+    if n < 1 or 1 << n > MAX_STATES:
+        raise CapacityError(f"cannot enumerate {n} spins: need n >= 1 and 2^n <= {MAX_STATES}")
     return index_to_spins(np.arange(1 << n), n)
 
 

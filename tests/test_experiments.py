@@ -76,7 +76,7 @@ def test_declared_parameters_match_what_each_experiment_reads():
         src = inspect.getsource(fn)
         read = set(re.findall(r'params(?:\.get\(|\[)"(\w+)"', src))
         read |= set(re.findall(r'"(\w+)" in params', src))
-        assert read == PARAMETERS[name], name
+        assert read == set(PARAMETERS[name]), name
 
 
 # --- exit codes -----------------------------------------------------------
@@ -140,12 +140,13 @@ def test_empty_experiment_list_exits_0_with_header_only_csv(tmp_path):
     assert digest == {"passed": True, "experiments": []}
 
 
-def test_capacity_exits_3_and_writes_nothing(tmp_path):
+def test_capacity_exits_3_and_writes_nothing(tmp_path, capsys):
     p = write_config(
         tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [17]}}]
     )
     assert run(p) == 3
     assert not (tmp_path / "r.csv").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_failed_requirement_exits_1_but_writes_results(tmp_path):
@@ -274,6 +275,24 @@ def test_cw_gap_scaling_matches_direct_eigensolve(tmp_path):
     assert all(r <= 0.7 for r in ratios)
 
 
+def test_cw_gap_scaling_fails_when_n3_lambda3_falls(tmp_path):
+    # descending n: n^3 lambda3 falls from 60.6 to 45.4 to 32.0, below 0.9
+    # of its first value, while every lambda2 ratio stays under the cap
+    p = write_config(
+        tmp_path,
+        [
+            {
+                "name": "cw-gap-scaling",
+                "seeds": [0],
+                "params": {"n": [11, 9, 7], "ratio_cap": 100},
+            }
+        ],
+    )
+    assert run(p) == 1
+    rows = read_rows(tmp_path / "r.csv")
+    assert metric(rows, "n3_lambda3") == pytest.approx([60.6, 45.4, 32.0], abs=0.05)
+
+
 def test_balance_concentration_slope_near_root_m(tmp_path):
     p = write_config(
         tmp_path,
@@ -318,7 +337,7 @@ def test_balance_concentration_accepts_model_file(tmp_path):
     assert rows[0][1].startswith("n=6 ")
 
 
-def test_balance_concentration_missing_model_exits_2(tmp_path):
+def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
     p = write_config(
         tmp_path,
         [
@@ -330,6 +349,8 @@ def test_balance_concentration_missing_model_exits_2(tmp_path):
         ],
     )
     assert run(p) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ghost.txt" in err
 
 
 # --- catalog: samplers ----------------------------------------------------
@@ -431,6 +452,17 @@ def test_learn_ising_e2e_single_seed(tmp_path):
     assert metric(rows, "epsilon_hat", label)[0] <= 0.01
     assert metric(rows, "terminal_tv", label)[0] <= 0.15
     assert metric(rows, "converged", label)[0] == 1.0
+
+
+def test_learn_ising_e2e_above_certification_cap_has_no_balance_row(tmp_path):
+    # n = 11 takes the Monte Carlo route of learn_and_sample, which has no
+    # balance statistic to report; at this sample size the TV verdict fails
+    params = {"n": 11, "m_fit": 500, "m_init": 200, "horizon": 2.0}
+    p = write_config(tmp_path, [{"name": "learn-ising-e2e", "seeds": [0], "params": params}])
+    assert run(p) == 1
+    rows = read_rows(tmp_path / "r.csv")
+    assert [r[2] for r in rows] == ["epsilon_hat", "terminal_tv", "converged"]
+    assert {r[1] for r in rows} == {"n=11 m_fit=500 seed=0"}
 
 
 # --- shipped fixtures -----------------------------------------------------

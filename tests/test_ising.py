@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from multimix import CapacityError, FiniteDistribution, ParseError, ising, tv_distance
@@ -96,6 +99,10 @@ def test_potts_digits_capacity(monkeypatch):
     assert potts_digits(4, 3).shape == (81, 4)
     with pytest.raises(CapacityError):
         potts_digits(7, 2)  # 128 > 81
+    # spin enumeration checks the same bound
+    assert states_matrix(6).shape == (64, 6)
+    with pytest.raises(CapacityError):
+        states_matrix(7)
 
 
 def test_conditional_prob_values():
@@ -349,6 +356,17 @@ def test_model_file_round_trip():
         load_ising_model("ising v2 1\n0.0\n0.0\n")
     with pytest.raises(ParseError):
         load_ising_model("ising v1 2\n0.0 x\n0.1 0.0\n0.0 0.0\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_model_file_round_trip_property(data, n):
+    entries = st.floats(-1e6, 1e6)
+    upper = np.triu(data.draw(arrays(np.float64, (n, n), elements=entries)), 1)
+    model = IsingModel(upper + upper.T, data.draw(arrays(np.float64, n, elements=entries)))
+    back = load_ising_model(dump_ising_model(model))
+    assert back.J.tobytes() == model.J.tobytes()
+    assert back.b.tobytes() == model.b.tobytes()
 
 
 def test_sample_file_round_trip():

@@ -5,6 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimix import (
     CapacityError,
@@ -232,6 +235,21 @@ def test_serialization_round_trip():
     assert text.splitlines()[0] == "finite-dist v1 32"
     assert len(text.splitlines()) == 2
     assert np.array_equal(load_distribution(text).probs, delta.probs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    weights=arrays(
+        np.float64,
+        st.integers(1, 64),
+        elements=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+    )
+)
+def test_serialization_round_trip_property(weights):
+    assume(weights.sum() > 0.0)
+    d = FiniteDistribution(weights / weights.sum())
+    back = load_distribution(dump_distribution(d))
+    assert back.probs.tobytes() == d.probs.tobytes()
 
 
 def test_serialization_parse_errors():

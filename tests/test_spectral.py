@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimix import (
     CapacityError,
@@ -22,6 +23,7 @@ from multimix.ising import (
     curie_weiss,
     exact_distribution,
     empirical_distribution,
+    index_to_digits,
     low_rank_ising,
     mean_field_potts,
     sample_exact,
@@ -176,6 +178,34 @@ def test_detailed_balance():
     flow = pi.probs[:, None] * L
     assert np.abs(flow - flow.T).max() <= 1e-10
     assert np.abs(L.sum(axis=1)).max() <= 1e-12
+
+
+# every (q, n) with q^n <= 243
+SMALL_LATTICES = [(q, n) for q in (2, 3) for n in range(1, 8) if q**n <= 243]
+
+
+@st.composite
+def full_support_laws(draw):
+    q, n = draw(st.sampled_from(SMALL_LATTICES))
+    logits = draw(arrays(np.float64, q**n, elements=st.floats(-8.0, 8.0)))
+    w = np.exp(logits)
+    return FiniteDistribution(w / w.sum()), q, n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(law=full_support_laws())
+def test_glauber_generator_detailed_balance_property(law):
+    pi, q, n = law
+    L = build_glauber_generator(pi, q).rate_matrix()
+    flow = pi.probs[:, None] * L
+    scale = np.maximum(np.abs(flow), np.abs(flow.T))
+    assert np.all(np.abs(flow - flow.T) <= 1e-12 * scale)
+    assert np.all(np.abs(L.sum(axis=1)) <= 1e-12 * np.abs(L).sum(axis=1))
+    assert np.all(np.abs(pi.probs @ L) <= 1e-12 * np.abs(flow).sum(axis=0))
+    digits = index_to_digits(np.arange(pi.m), n, q)
+    sites_apart = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    assert np.all(L[sites_apart > 1] == 0.0)
+    assert np.all(L[sites_apart == 1] > 0.0)
 
 
 def test_uniform_four_spin_degenerate_gap():
@@ -537,6 +567,17 @@ def test_spectrum_serialization_round_trip():
     back = load_spectrum(text, gen.pi)
     assert np.array_equal(back.eigenvalues, spec.eigenvalues)
     assert np.array_equal(back.eigenfunctions, spec.eigenfunctions)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(law=full_support_laws(), data=st.data())
+def test_spectrum_round_trip_property(law, data):
+    pi, q, _ = law
+    k = data.draw(st.integers(1, pi.m), label="k")
+    spec = eigendecompose(build_glauber_generator(pi, q), k)
+    back = load_spectrum(dump_spectrum(spec), pi)
+    assert back.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    assert back.eigenfunctions.tobytes() == spec.eigenfunctions.tobytes()
 
 
 def test_spectrum_parse_errors():
