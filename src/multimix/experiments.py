@@ -644,13 +644,13 @@ def run(
     except (FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if out_override is not None:
-        out_path = Path(out_override)
-    else:
-        # paths declared inside the config resolve next to the config
-        out_path = Path(out)
-        if not out_path.is_absolute():
-            out_path = path.parent / out_path
+    # paths declared inside the config (`out`, a `model` file) resolve next
+    # to the config
+    out_path = Path(out_override) if out_override is not None else path.parent / out
+    summary_path = out_path.with_suffix(".json")
+    if path.resolve() in (out_path.resolve(), summary_path.resolve()):
+        print(f"error: results would overwrite the config {path}", file=sys.stderr)
+        return 2
     if threads is None:
         env = os.environ.get("MULTIMIX_THREADS", "")
         threads = int(env) if env.isdigit() and int(env) > 0 else 4
@@ -663,6 +663,8 @@ def run(
             runner = _Runner(pool, timings)
             for cfg in configs:
                 params = {**PARAMETERS[cfg.name], **cfg.params}
+                if isinstance(params.get("model"), str):
+                    params["model"] = str(path.parent / params["model"])
                 rows, passed = CATALOG[cfg.name](params, list(cfg.seeds), runner)
                 passed &= _check_requirements(rows, cfg.require)
                 all_rows.extend(rows)
@@ -674,7 +676,5 @@ def run(
 
     _atomic_write(out_path, _render_csv(all_rows))
     digest = {"passed": bool(overall), "experiments": summary}
-    _atomic_write(
-        out_path.with_suffix(".json"), json.dumps(digest, sort_keys=True, indent=2) + "\n"
-    )
+    _atomic_write(summary_path, json.dumps(digest, sort_keys=True, indent=2) + "\n")
     return 0 if overall else 1

@@ -334,18 +334,26 @@ def glauber_run_continuous(model: IsingModel, x0, T: float, seed: int) -> Glaube
 
 
 def _ensemble_rounds(model: IsingModel, X: np.ndarray, counts, rng) -> np.ndarray:
-    """Advance each row of X by its own number of heat-bath updates."""
-    rows = np.arange(X.shape[0])
-    rounds = int(counts.max()) if len(counts) else 0
-    for step in range(rounds):
-        coords = rng.integers(0, model.n, X.shape[0])
-        unifs = rng.random(X.shape[0])
-        active = counts > step
-        if not active.any():
-            break
-        z = np.einsum("rj,rj->r", model.J[coords[active]], X[active]) + model.b[coords[active]]
-        flips = np.where(unifs[active] < expit(2.0 * z), 1.0, -1.0)
-        X[rows[active], coords[active]] = flips
+    """Advance each row of X by its own number of heat-bath updates.
+
+    Rows are visited in descending order of their update counts, so the rows
+    still updating in a round are a prefix of that order. Every round draws
+    one coordinate and one uniform for all rows in row order, whether or not
+    the row still updates, so each row's stream does not depend on the other
+    rows' counts.
+    """
+    R = X.shape[0]
+    order = np.argsort(-counts, kind="stable")
+    live = np.searchsorted(-counts[order], -np.arange(counts.max() if R else 0))
+    Xs = X[order]
+    for size in live:
+        pick = order[:size]
+        coords = rng.integers(0, model.n, R)[pick]
+        unifs = rng.random(R)[pick]
+        rows = np.take(model.J, coords, axis=0)
+        z = np.einsum("rj,rj->r", rows, Xs[:size]) + model.b[coords]
+        Xs[np.arange(size), coords] = np.where(unifs < expit(2.0 * z), 1.0, -1.0)
+    X[order] = Xs
     return X
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit, logsumexp
 
 from .errors import ParseError
 from .measures import SampleSet
@@ -28,6 +28,8 @@ from .rng import make_rng
 DIVERGENCE_GUARD = 1e8
 
 _MC_SAMPLES = 100_000
+# rows per block when a Monte Carlo moment is taken over _MC_SAMPLES draws
+_MC_BLOCK = 8192
 
 
 def _as_batch(x, d: int):
@@ -61,14 +63,20 @@ class GaussianComponent:
         self.mean = mean
         self.cov = cov
         self._chol = chol
-        self.precision = scipy.linalg.cho_solve((chol, True), np.eye(d))
+        # transposed inverse Cholesky factor: (x - mean) @ _whiten is white
+        self._whiten = np.ascontiguousarray(
+            scipy.linalg.solve_triangular(chol, np.eye(d), lower=True).T
+        )
+        self.precision = np.ascontiguousarray(
+            scipy.linalg.cho_solve((chol, True), np.eye(d))
+        )
         spread = scipy.linalg.eigvalsh(cov)
         self.alpha = 1.0 / spread[-1]
         self.beta = 1.0 / spread[0]
         self._log_norm = 0.5 * d * math.log(2.0 * math.pi) + float(
             np.log(np.diag(chol)).sum()
         )
-        for a in (self.mean, self.cov, self.precision):
+        for a in (self.mean, self.cov, self.precision, self._whiten):
             a.setflags(write=False)
 
     @property
@@ -80,12 +88,11 @@ class GaussianComponent:
         return self.mean
 
     def potential(self, X: np.ndarray) -> np.ndarray:
-        z = X - self.mean
-        y = scipy.linalg.solve_triangular(self._chol, z.T, lower=True)
-        return 0.5 * np.einsum("dn,dn->n", y, y) + self._log_norm
+        y = np.dot(X - self.mean, self._whiten)
+        return 0.5 * np.einsum("nd,nd->n", y, y) + self._log_norm
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) @ self.precision
+        return np.dot(X - self.mean, self.precision)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.mean + rng.standard_normal((count, self.dim)) @ self._chol.T
@@ -164,7 +171,7 @@ class SoftplusComponent:
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         z = X - self.center
-        return z @ self.precision + self.strength * expit(z @ self.tilt)[
+        return np.dot(z, self.precision) + self.strength * expit(z @ self.tilt)[
             :, None
         ] * self.tilt
 
@@ -208,6 +215,7 @@ class MixtureModel:
         weights.setflags(write=False)
         means.setflags(write=False)
         self.weights = weights
+        self._log_weights = tuple(math.log(p) for p in weights)
         self.components = components
         self.means = means
         self.separation = float(separation)
@@ -236,9 +244,11 @@ class MixtureModel:
         return math.sqrt(self.beta * self.kappa * self.d) + self.beta * self.separation
 
     def _component_logs(self, X: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [math.log(p) - c.potential(X) for p, c in zip(self.weights, self.components)]
-        )
+        """log(weight_j) - potential_j(X), one row per component."""
+        out = np.empty((self.k, X.shape[0]))
+        for row, log_w, c in zip(out, self._log_weights, self.components):
+            np.subtract(log_w, c.potential(X), out=row)
+        return out
 
     def log_density(self, x) -> np.ndarray | float:
         X, single = _as_batch(x, self.d)
@@ -255,9 +265,14 @@ class MixtureModel:
         if self.k == 1:
             out = -self.components[0].grad(X)
         else:
-            posterior = softmax(self._component_logs(X), axis=0)
-            grads = np.stack([c.grad(X) for c in self.components])
-            out = -np.einsum("kn,knd->nd", posterior, grads)
+            # posterior weights by an in-place softmax over the component axis
+            post = self._component_logs(X)
+            post -= post.max(axis=0)
+            np.exp(post, out=post)
+            post /= post.sum(axis=0)
+            out = -post[0][:, None] * self.components[0].grad(X)
+            for p, c in zip(post[1:], self.components[1:]):
+                out -= p[:, None] * c.grad(X)
         return out[0] if single else out
 
     def max_gradient(self, x) -> np.ndarray | float:
@@ -366,21 +381,17 @@ def perturb_score(
     phases = rng.uniform(0.0, 2.0 * math.pi, spec.waves)
     amps = rng.standard_normal(spec.waves)
 
-    def field(X: np.ndarray) -> np.ndarray:
-        if spec.waves == 0:
-            return np.zeros_like(X)
-        return (np.sin(X @ omegas.T + phases) * amps) @ values
+    freqs = np.ascontiguousarray(omegas.T)
+    mix = amps[:, None] * values
 
-    draws = model.sample(_MC_SAMPLES, rng)
-    raw = float(np.mean(np.einsum("nd,nd->n", field(draws), field(draws))))
+    def field(X: np.ndarray) -> np.ndarray:
+        return np.dot(np.sin(np.dot(X, freqs) + phases), mix)
+
+    raw = _mean_square(field, model.sample(_MC_SAMPLES, rng))
     if raw < 1e-16:
         raise ValueError("perturbation field is degenerate on this target")
     scale = epsilon / math.sqrt(raw)
-    fresh = model.sample(_MC_SAMPLES, rng)
-    held_out = field(fresh)
-    measured = scale * math.sqrt(
-        float(np.mean(np.einsum("nd,nd->n", held_out, held_out)))
-    )
+    measured = scale * math.sqrt(_mean_square(field, model.sample(_MC_SAMPLES, rng)))
 
     def fn(x):
         X, single = _as_batch(x, d)
@@ -390,6 +401,16 @@ def perturb_score(
     return ScoreField(
         fn=fn, kind="perturbed", epsilon=float(epsilon), measured_error=measured
     )
+
+
+def _mean_square(field, X: np.ndarray) -> float:
+    """Mean of |field(x)|^2 over the rows of X, evaluated a block of rows at
+    a time so the (rows, waves) phase matrix never exists in full."""
+    total = 0.0
+    for lo in range(0, X.shape[0], _MC_BLOCK):
+        f = field(X[lo : lo + _MC_BLOCK])
+        total += float(np.einsum("nd,nd->", f, f))
+    return total / X.shape[0]
 
 
 def submixture(model: MixtureModel, subset) -> MixtureModel:
@@ -498,8 +519,10 @@ def lmc_run(init, score: ScoreField, cfg: LmcConfig) -> LmcResult:
                 break
             drift = np.asarray(score.evaluate(x[live]))
             x[live] = x[live] + cfg.step * drift + spread * noise[live]
-        # written as a negated <= so that a non-finite row is flagged too
-        flagged |= ~(np.abs(x).max(axis=1) <= DIVERGENCE_GUARD)
+        # written as a negated <= so that a non-finite row is flagged too;
+        # the per-row flags are taken only when the global check fires
+        if not np.abs(x).max() <= DIVERGENCE_GUARD:
+            flagged |= ~(np.abs(x).max(axis=1) <= DIVERGENCE_GUARD)
     return LmcResult(SampleSet(x), flagged)
 
 

@@ -480,3 +480,29 @@ def test_shipped_gap_config_runs_clean(tmp_path):
         "n3_lambda3",
         "lambda2_ratio",
     }
+
+
+def test_results_never_overwrite_the_config(tmp_path, monkeypatch, capsys):
+    # the summary goes to out.with_suffix(".json"), which for out = cfg.csv
+    # is the config itself
+    calls = []
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    p = write_config(tmp_path, [{"name": "cw-gap-scaling", "seeds": [0]}], out="cfg.csv")
+    before = p.read_bytes()
+    assert run(p) == 2
+    assert "error: " in capsys.readouterr().err
+    assert run(p, out_override=str(tmp_path / "cfg.json")) == 2
+    assert p.read_bytes() == before
+    assert calls == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_model_path_resolves_next_to_the_config(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "m.txt").write_text(dump_ising_model(curie_weiss(5, 1.2)))
+    params = {"model": "m.txt", "redraws": 5, "m": [50, 100], "slope_window": [-5.0, 5.0]}
+    write_config(sub, [{"name": "balance-concentration", "seeds": [0], "params": params}])
+    monkeypatch.chdir(tmp_path)
+    assert run("sub/cfg.json") == 0
+    assert read_rows(sub / "r.csv")[0][1].startswith("n=5 ")

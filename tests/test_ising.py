@@ -380,3 +380,57 @@ def test_sample_file_round_trip():
         load_samples("1 2\n")
     with pytest.raises(ParseError):
         load_samples("")
+
+
+def masked_rounds(model: IsingModel, X: np.ndarray, counts, rng) -> np.ndarray:
+    # reference: every round gathers the still-updating rows through a mask
+    rows = np.arange(X.shape[0])
+    rounds = int(counts.max()) if len(counts) else 0
+    for step in range(rounds):
+        coords = rng.integers(0, model.n, X.shape[0])
+        unifs = rng.random(X.shape[0])
+        active = counts > step
+        if not active.any():
+            break
+        z = np.einsum("rj,rj->r", model.J[coords[active]], X[active]) + model.b[coords[active]]
+        flips = np.where(unifs[active] < expit(2.0 * z), 1.0, -1.0)
+        X[rows[active], coords[active]] = flips
+    return X
+
+
+def masked_continuous(model: IsingModel, X0, T: float, seed: int) -> np.ndarray:
+    X = np.array(X0, dtype=float)
+    rng = make_rng(seed, "glauber")
+    counts = rng.poisson(model.n * T, X.shape[0]) if T > 0.0 else np.zeros(X.shape[0], int)
+    return masked_rounds(model, X, counts, rng)
+
+
+def masked_discrete(model: IsingModel, X0, steps: int, seed: int) -> np.ndarray:
+    X = np.array(X0, dtype=float)
+    rng = make_rng(seed, "glauber")
+    return masked_rounds(model, X, np.full(X.shape[0], steps), rng)
+
+
+ENSEMBLE_MODELS = {
+    "cw8": curie_weiss(8, 1.5),
+    "cw12": curie_weiss(12, 1.5),
+    "low_rank9": low_rank_ising(9, 2, [1.5, 1.3], 0.2, seed=3),
+    "random7": random_ising(np.random.default_rng(5), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_MODELS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ensemble_rounds_match_masked_reference(name, seed):
+    model = ENSEMBLE_MODELS[name]
+    X0 = sample_exact(model, 300, seed=seed + 10)
+    # T = 0.05 leaves most replicas with zero updates; T = 0 leaves all
+    for T in (0.0, 0.05, 1.0, 4.0):
+        got = glauber_ensemble_continuous(model, X0, T, seed)
+        assert np.array_equal(got, masked_continuous(model, X0, T, seed))
+    for steps in (0, 1, 7, 40):
+        got = glauber_ensemble_discrete(model, X0, steps, seed)
+        assert np.array_equal(got, masked_discrete(model, X0, steps, seed))
+    empty = np.empty((0, model.n))
+    assert glauber_ensemble_continuous(model, empty, 2.0, seed).shape == (0, model.n)
+    assert glauber_ensemble_discrete(model, empty, 3, seed).shape == (0, model.n)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import logsumexp, softmax
 
 from multimix import ParseError, SampleSet, empirical_tv_continuous
 from multimix.langevin import (
+    DIVERGENCE_GUARD,
     GaussianComponent,
     LmcConfig,
     MixtureModel,
@@ -410,3 +413,148 @@ def test_terminal_sample_csv_round_trip():
         load_terminal_samples("chain_index,x_1,flagged\n1,0.0,0\n")  # bad index
     with pytest.raises(ParseError):
         load_terminal_samples("chain_index,x_1,flagged\n0,0.0,2\n")
+
+
+# ---------------------------------------------------------------------------
+# oracles: a triangular solve per potential call, scipy's softmax posterior
+
+
+def reference_potential(comp, X: np.ndarray) -> np.ndarray:
+    tilted = isinstance(comp, SoftplusComponent)
+    z = X - (comp.center if tilted else comp.mean)
+    y = scipy.linalg.solve_triangular(comp._chol, z.T, lower=True)
+    out = 0.5 * np.einsum("dn,dn->n", y, y) + comp._log_norm
+    if tilted:
+        out = out + comp.strength * np.logaddexp(0.0, z @ comp.tilt)
+    return out
+
+
+def reference_logs(model: MixtureModel, X: np.ndarray) -> np.ndarray:
+    return np.stack(
+        [math.log(p) - reference_potential(c, X) for p, c in zip(model.weights, model.components)]
+    )
+
+
+def reference_score(model: MixtureModel, X: np.ndarray) -> np.ndarray:
+    posterior = softmax(reference_logs(model, X), axis=0)
+    grads = np.stack([c.grad(X) for c in model.components])
+    return -np.einsum("kn,knd->nd", posterior, grads)
+
+
+def oracle_mixtures():
+    yield "bimodal-1d", MixtureModel(
+        [0.5, 0.5], [GaussianComponent([-5.0], [[1.0]]), GaussianComponent([5.0], [[2.5]])]
+    )
+    yield "softplus-1d", MixtureModel(
+        [0.3, 0.7],
+        [SoftplusComponent([0.5], [[2.0]], [1.3], 2.0), GaussianComponent([4.0], [[0.6]])],
+    )
+    yield "three-2d", three_component_model()
+    rng = np.random.default_rng(11)
+    comps = []
+    for j in range(3):
+        A = rng.normal(size=(3, 3))
+        cov = A @ A.T + 0.5 * np.eye(3)
+        mean = rng.normal(0.0, 3.0, 3)
+        if j == 1:
+            comps.append(SoftplusComponent(mean, cov, rng.normal(size=3), 1.5))
+        else:
+            comps.append(GaussianComponent(mean, cov))
+    yield "mixed-3d", MixtureModel([0.2, 0.5, 0.3], comps)
+
+
+@pytest.mark.parametrize("name,model", list(oracle_mixtures()))
+def test_mixture_matches_triangular_solve_oracle(name, model):
+    d = model.d
+    rng = np.random.default_rng(7)
+    # stationary draws, then far tails where all but one posterior underflows
+    tails = np.array([[1e3] * d, [-1e3] * d, [1e3] + [-1e3] * (d - 1), [-300.0] * d])
+    X = np.concatenate([model.sample(200, rng), tails])
+    for comp in model.components:
+        ref = reference_potential(comp, X)
+        assert np.allclose(comp.potential(X), ref, rtol=1e-12, atol=0.0)
+    logs = reference_logs(model, X)
+    assert (softmax(logs, axis=0)[:, -4:] == 0.0).any(), "no posterior underflows"
+    ref = logsumexp(logs, axis=0)
+    assert np.allclose(model.log_density(X), ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(model.potential(X), -ref, rtol=1e-12, atol=0.0)
+    # the score is a posterior average of component gradients, so its
+    # rounding scale is the largest component gradient at the point
+    err = np.linalg.norm(model.score(X) - reference_score(model, X), axis=1)
+    assert np.all(err <= 1e-12 * model.max_gradient(X))
+    assert np.allclose(model.score(X[3]), reference_score(model, X[3:4])[0], rtol=1e-12)
+
+
+def reference_perturbation(model: MixtureModel, epsilon: float, seed: int):
+    """The perturbation's scale and measured error from full, unblocked
+    100 000-draw moments, drawing exactly what perturb_score draws."""
+    spec = SinusoidalNoise()
+    rng = make_rng(seed)
+    d = model.d
+    footprint = model.separation + math.sqrt(d / model.alpha)
+
+    def unit_rows():
+        rows = rng.standard_normal((spec.waves, d))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    values = unit_rows()
+    omegas = unit_rows()
+    omegas = omegas * (rng.uniform(spec.min_freq, spec.max_freq, spec.waves)[:, None] / footprint)
+    phases = rng.uniform(0.0, 2.0 * math.pi, spec.waves)
+    amps = rng.standard_normal(spec.waves)
+
+    def field(X):
+        return (np.sin(X @ omegas.T + phases) * amps) @ values
+
+    draws = field(model.sample(100_000, rng))
+    scale = epsilon / math.sqrt(np.mean(np.einsum("nd,nd->n", draws, draws)))
+    held_out = field(model.sample(100_000, rng))
+    measured = scale * math.sqrt(np.mean(np.einsum("nd,nd->n", held_out, held_out)))
+    return scale, field, measured
+
+
+@pytest.mark.parametrize("name,model", list(oracle_mixtures())[::3])
+def test_perturb_score_blocked_moments_match_unblocked(name, model):
+    for eps, seed in ((0.2, 1), (1.0, 9)):
+        scale, field, measured = reference_perturbation(model, eps, seed)
+        got = perturb_score(model, eps, seed=seed)
+        assert got.measured_error == pytest.approx(measured, rel=1e-12)
+        X = model.sample(300, np.random.default_rng(seed))
+        shift = got.evaluate(X) - model.score(X)
+        ref = scale * field(X)
+        assert np.abs(shift - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_divergence_guard_flags_only_the_chain_that_crosses():
+    chains, h = 64, 0.01
+    near = np.random.default_rng(3).normal(size=(chains, 2))
+    pool = SampleSet(np.vstack([near, [[20.0, 0.0]]]))
+
+    def calm(X):
+        return -X
+
+    def runaway(X):
+        # past x_1 = 10 the drift multiplies the state by 11 per step
+        out = -X
+        out[X[:, 0] > 10.0] *= -1000.0
+        return out
+
+    def run(fn, steps, seed):
+        cfg = LmcConfig(step=h, horizon=steps * h, seed=seed, chains=chains)
+        return lmc_run(pool, ScoreField(fn=fn, kind="exact"), cfg)
+
+    # a seed whose chains start on the far row exactly once
+    seed = next(s for s in range(100) if (run(calm, 0, s).samples.data[:, 0] == 20.0).sum() == 1)
+    bad = int(np.flatnonzero(run(calm, 0, seed).samples.data[:, 0] == 20.0)[0])
+    first = next(s for s in range(1, 30) if run(runaway, s, seed).flagged.any())
+    assert first > 1
+    res = run(runaway, 40, seed)
+    calm_res = run(calm, 40, seed)
+    assert np.flatnonzero(res.flagged).tolist() == [bad]
+    assert not calm_res.flagged.any()
+    row = res.samples.data[bad]
+    assert np.isfinite(row).all() and np.abs(row).max() > DIVERGENCE_GUARD
+    # frozen at the state of the step that crossed the guard
+    assert np.array_equal(row, run(runaway, first, seed).samples.data[bad])
+    others = np.arange(chains) != bad
+    assert np.array_equal(res.samples.data[others], calm_res.samples.data[others])
