@@ -33,7 +33,7 @@ from .ising import (
     sample_exact,
 )
 from .langevin import load_mixture, sample_mixture
-from .measures import tv_distance
+from .measures import _row, tv_distance
 from .ple import (
     MAX_CERTIFY_SPINS,
     PleConfig,
@@ -91,8 +91,7 @@ def _cmd_sample(args) -> int:
         _emit(dump_samples(X), args.out)
     else:
         pts = sample_mixture(model, args.count, args.seed).data
-        lines = [" ".join(repr(float(v)) for v in row) for row in pts]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(map(_row, pts)) + "\n", args.out)
     return 0
 
 

@@ -26,7 +26,7 @@ from scipy.special import logsumexp, softmax
 
 from .errors import CapacityError, ParseError
 from .ising import IsingModel, PottsModel, potts_digits, states_matrix
-from .measures import FiniteDistribution
+from .measures import FiniteDistribution, _header, _numbers, _row
 
 MAX_EXACT_STATES = 1 << 14
 MAX_FIELDS = 1_000_000
@@ -294,13 +294,7 @@ def mixture_density(net: FieldNet, split: SpectralSplit, model):
     they come back as exact tilted distributions, the columns of the block
     softmax that also sums to pi2.
     """
-    if isinstance(model, IsingModel) and isinstance(split.model, IsingModel):
-        same = np.array_equal(model.J, split.model.J) and np.array_equal(
-            model.b, split.model.b
-        )
-    else:
-        same = model == split.model
-    if not same:
+    if model != split.model:
         raise ValueError("model does not match the one the split was taken from")
     features, base, _ = split.enumeration
     potts = isinstance(model, PottsModel)
@@ -384,53 +378,32 @@ def dump_field_net(net: FieldNet) -> str:
     The header records the net's grid rank, recomputed as the dimension of
     the span of the stored fields.
     """
-    if net.count == 1 and not net.fields.any():
-        rank = 0
-    else:
-        rank = int(np.linalg.matrix_rank(net.fields, tol=1e-10))
+    rank = int(np.linalg.matrix_rank(net.fields, tol=1e-10))
     lines = [f"fieldnet v1 {rank} {net.count}"]
-    for h, w in zip(net.fields, net.weights):
-        coords = " ".join(repr(float(v)) for v in h)
-        lines.append(f"{coords} {float(w)!r}")
+    lines.extend(_row([*h, w]) for h, w in zip(net.fields, net.weights))
     return "\n".join(lines) + "\n"
 
 
 def load_field_net(text: str) -> FieldNet:
     """Rebuild a net from its export. The radius is recovered from the
     fields themselves; the mesh is not recorded and loads as zero."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty field net file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "fieldnet" or head[1] != "v1":
-        raise ParseError(f"bad field net header {lines[0]!r}")
+    (rank, count), body = _header(text, "fieldnet", 2, "field net")
+    if count != len(body) or count < 1:
+        raise ParseError(f"expected {count} field lines, found {len(body)}")
+    width = len(body[0].split())
+    if width < 2:
+        raise ParseError(f"bad field line {body[0]!r}")
+    data = np.array([_numbers(ln, width) for ln in body])
+    fields = data[:, :-1]
     try:
-        rank, count = int(head[2]), int(head[3])
+        net = FieldNet(
+            fields=fields,
+            weights=data[:, -1],
+            radius=float(np.linalg.norm(fields, axis=1).max()),
+            mesh=0.0,
+        )
     except ValueError as exc:
-        raise ParseError(f"bad field net header {lines[0]!r}") from exc
-    if count != len(lines) - 1 or count < 1:
-        raise ParseError(f"expected {count} field lines, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) < 2:
-            raise ParseError(f"bad field line {line!r}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ParseError(f"bad number in field line {line!r}") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise ParseError("field lines disagree on dimension")
-    data = np.asarray(rows)
-    fields, weights = data[:, :-1], data[:, -1]
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ParseError("field weights must sum to one")
-    net = FieldNet(
-        fields=fields,
-        weights=weights / weights.sum(),
-        radius=float(np.linalg.norm(fields, axis=1).max()),
-        mesh=0.0,
-    )
+        raise ParseError(f"invalid field net: {exc}") from None
     if rank not in (0, int(np.linalg.matrix_rank(fields, tol=1e-10))):
         raise ParseError("header rank disagrees with the stored fields")
     return net

@@ -22,13 +22,16 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from .errors import CapacityError, ParseError
-from .measures import MAX_STATES, FiniteDistribution, _readonly
+from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _readonly, _row
 from .rng import make_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingModel:
-    """Pairwise spin model: pi(x) ~ exp((1/2) x'Jx + b'x), J symmetric, diag 0."""
+    """Pairwise spin model: pi(x) ~ exp((1/2) x'Jx + b'x), J symmetric, diag 0.
+
+    Two models are equal when their couplings and fields agree entrywise.
+    """
 
     J: np.ndarray
     b: np.ndarray
@@ -54,6 +57,13 @@ class IsingModel:
         b.setflags(write=False)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if not isinstance(other, IsingModel):
+            return NotImplemented
+        return np.array_equal(self.J, other.J) and np.array_equal(self.b, other.b)
+
+    __hash__ = None
 
     @property
     def n(self) -> int:
@@ -419,36 +429,17 @@ def empirical_distribution(X, n: int) -> FiniteDistribution:
 
 def dump_ising_model(model: IsingModel) -> str:
     """Serialize to ``ising v1 <n>``: n coupling rows, then the field row."""
-    lines = [f"ising v1 {model.n}"]
-    for row in model.J:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in model.b))
+    lines = [f"ising v1 {model.n}", *map(_row, model.J), _row(model.b)]
     return "\n".join(lines) + "\n"
 
 
 def load_ising_model(text: str) -> IsingModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty model file")
-    head = lines[0].split()
-    if len(head) != 3 or head[:2] != ["ising", "v1"]:
-        raise ParseError(f"bad header: {lines[0]!r}")
+    (n,), body = _header(text, "ising", 1, "model")
+    if len(body) != n + 1:
+        raise ParseError(f"expected {n + 1} rows, found {len(body)}")
+    rows = np.array([_numbers(ln, n) for ln in body])
     try:
-        n = int(head[2])
-    except ValueError:
-        raise ParseError(f"bad spin count: {head[2]!r}") from None
-    if n < 1:
-        raise ParseError(f"spin count must be positive, got {n}")
-    if len(lines) != n + 2:
-        raise ParseError(f"expected {n + 1} matrix rows, found {len(lines) - 1}")
-    try:
-        rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
-    except ValueError:
-        raise ParseError("non-numeric entry in model file") from None
-    if any(len(r) != n for r in rows):
-        raise ParseError("ragged row in model file")
-    try:
-        return IsingModel(np.array(rows[:n]), np.array(rows[n]))
+        return IsingModel(rows[:n], rows[n])
     except ValueError as exc:
         raise ParseError(f"invalid model: {exc}") from None
 

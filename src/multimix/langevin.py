@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
 
 from .errors import ParseError
-from .measures import SampleSet
+from .measures import SampleSet, _header, _numbers, _row
 from .rng import make_rng
 
 # Any coordinate beyond this aborts its chain; the threshold sits far above
@@ -60,6 +60,20 @@ class GaussianComponent:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance must be positive definite") from exc
+        self._build(mean, cov, chol)
+
+    @classmethod
+    def _from_factor(cls, mean, chol: np.ndarray) -> "GaussianComponent":
+        """Rebuild around a stored lower Cholesky factor, kept verbatim:
+        refactoring its product can move the factor by an ulp."""
+        comp = cls(mean, chol @ chol.T)
+        if not (np.array_equal(chol, np.tril(chol)) and np.diag(chol).min() > 0.0):
+            raise ValueError("covariance factor must be lower triangular, positive diagonal")
+        comp._build(comp.mean, comp.cov, chol)
+        return comp
+
+    def _build(self, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> None:
+        d = mean.size
         self.mean = mean
         self.cov = cov
         self._chol = chol
@@ -110,7 +124,15 @@ class SoftplusComponent:
     """
 
     def __init__(self, center, cov, tilt, strength: float):
-        base = GaussianComponent(center, cov)
+        self._build(GaussianComponent(center, cov), tilt, strength)
+
+    @classmethod
+    def _from_factor(cls, center, chol, tilt, strength: float) -> "SoftplusComponent":
+        comp = cls.__new__(cls)
+        comp._build(GaussianComponent._from_factor(center, chol), tilt, strength)
+        return comp
+
+    def _build(self, base: GaussianComponent, tilt, strength: float) -> None:
         tilt = np.asarray(tilt, dtype=float).reshape(-1)
         if tilt.size != base.dim:
             raise ValueError("tilt direction has the wrong dimension")
@@ -570,73 +592,44 @@ def dump_mixture(model: MixtureModel) -> str:
     lines = [f"mixture v1 {model.d} {model.k}"]
     for p, comp in zip(model.weights, model.components):
         if isinstance(comp, SoftplusComponent):
-            lines.append(f"softplus {float(p)!r} {float(comp.strength)!r}")
-            center = comp.center
+            lines.append(f"softplus {_row([p, comp.strength])}")
+            lines.extend(map(_row, [comp.center, *comp._chol, comp.tilt]))
         else:
-            lines.append(f"gaussian {float(p)!r}")
-            center = comp.mean
-        lines.append(" ".join(repr(float(v)) for v in center))
-        for row in comp._chol:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        if isinstance(comp, SoftplusComponent):
-            lines.append(" ".join(repr(float(v)) for v in comp.tilt))
+            lines.append(f"gaussian {_row([p])}")
+            lines.extend(map(_row, [comp.mean, *comp._chol]))
     return "\n".join(lines) + "\n"
 
 
-def _floats(line: str, count: int) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != count:
-        raise ParseError(f"expected {count} numbers, got {len(parts)}")
-    try:
-        return np.array([float(v) for v in parts])
-    except ValueError as exc:
-        raise ParseError(f"bad number in {line!r}") from exc
-
-
 def load_mixture(text: str) -> MixtureModel:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty mixture file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "mixture" or head[1] != "v1":
-        raise ParseError(f"bad mixture header {lines[0]!r}")
-    try:
-        d, k = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise ParseError(f"bad mixture header {lines[0]!r}") from exc
-    weights, comps = [], []
-    at = 1
+    (d, k), body = _header(text, "mixture", 2, "mixture")
+    lines = iter(body)
+
+    def take() -> str:
+        line = next(lines, None)
+        if line is None:
+            raise ParseError("mixture file ended early")
+        return line
+
+    weights, specs = [], []
     for _ in range(k):
-        if at >= len(lines):
-            raise ParseError("mixture file ended early")
-        tag = lines[at].split()
-        at += 1
-        rows = lines[at : at + d + 1 + (1 if tag[0] == "softplus" else 0)]
-        if len(rows) < d + 1:
-            raise ParseError("mixture file ended early")
-        center = _floats(rows[0], d)
-        chol = np.stack([_floats(rows[1 + i], d) for i in range(d)])
-        cov = chol @ chol.T
-        if tag[0] == "gaussian" and len(tag) == 2:
-            weights.append(float(tag[1]))
-            comps.append(GaussianComponent(center, cov))
-            at += d + 1
-        elif tag[0] == "softplus" and len(tag) == 3:
-            if len(rows) < d + 2:
-                raise ParseError("mixture file ended early")
-            weights.append(float(tag[1]))
-            comps.append(
-                SoftplusComponent(center, cov, _floats(rows[d + 1], d), float(tag[2]))
-            )
-            at += d + 2
+        line = take()
+        kind = line.split()[0]
+        if kind not in ("gaussian", "softplus"):
+            raise ParseError(f"bad component line {line!r}")
+        head = _numbers(line[len(kind) :], 1 if kind == "gaussian" else 2)
+        weights.append(head[0])
+        center = _numbers(take(), d)
+        chol = np.array([_numbers(take(), d) for _ in range(d)])
+        if kind == "gaussian":
+            specs.append((GaussianComponent, (center, chol)))
         else:
-            raise ParseError(f"bad component line {' '.join(tag)!r}")
-    if at != len(lines):
+            specs.append((SoftplusComponent, (center, chol, _numbers(take(), d), head[1])))
+    if next(lines, None) is not None:
         raise ParseError("trailing data after the last component")
     try:
-        return MixtureModel(weights, comps)
+        return MixtureModel(weights, [cls._from_factor(*args) for cls, args in specs])
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"invalid mixture: {exc}") from None
 
 
 def dump_terminal_samples(result: LmcResult) -> str:
@@ -652,8 +645,8 @@ def dump_terminal_samples(result: LmcResult) -> str:
 
 def load_terminal_samples(text: str) -> LmcResult:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty sample file")
+    if len(lines) < 2:
+        raise ParseError("sample file holds no chains")
     head = lines[0].split(",")
     if head[0] != "chain_index" or head[-1] != "flagged" or len(head) < 3:
         raise ParseError(f"bad sample header {lines[0]!r}")
@@ -665,13 +658,11 @@ def load_terminal_samples(text: str) -> LmcResult:
         if len(parts) != d + 2:
             raise ParseError(f"row {i} has {len(parts)} fields, expected {d + 2}")
         try:
-            if int(parts[0]) != i:
-                raise ParseError(f"row {i} is out of order")
+            index, flag = int(parts[0]), int(parts[-1])
             points[i] = [float(v) for v in parts[1:-1]]
-            flag = int(parts[-1])
         except ValueError as exc:
             raise ParseError(f"bad number in row {i}") from exc
-        if flag not in (0, 1):
-            raise ParseError(f"bad flag in row {i}")
+        if index != i or flag not in (0, 1):
+            raise ParseError(f"row {i} needs chain index {i} and flag 0 or 1")
         flags[i] = bool(flag)
     return LmcResult(SampleSet(points), flags)

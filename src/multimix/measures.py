@@ -236,6 +236,42 @@ def empirical_tv_continuous(
     return float(0.5 * np.abs(ha / xa.size - hb / xb.size).sum())
 
 
+def _header(text: str, tag: str, fields: int, what: str) -> tuple[list[int], list[str]]:
+    """Read the ``<tag> v1`` header and its `fields` nonnegative integers;
+    return them with the nonblank, stripped body lines."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ParseError(f"empty {what} file")
+    head = lines[0].split()
+    if (
+        head[:2] != [tag, "v1"]
+        or len(head) != fields + 2
+        or not all(v.isdecimal() for v in head[2:])
+    ):
+        raise ParseError(f"bad {what} header {lines[0]!r}")
+    return [int(v) for v in head[2:]], lines[1:]
+
+
+def _numbers(line: str, count: int | None = None) -> np.ndarray:
+    """The finite floats on one whitespace-separated line, `count` of them
+    when given."""
+    parts = line.split()
+    if count is not None and len(parts) != count:
+        raise ParseError(f"expected {count} numbers, got {len(parts)} in {line!r}")
+    try:
+        values = np.array([float(v) for v in parts])
+    except ValueError:
+        raise ParseError(f"bad number in {line!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"non-finite number in {line!r}")
+    return values
+
+
+def _row(values) -> str:
+    """One line of numbers at shortest round-trip precision."""
+    return " ".join(repr(float(v)) for v in values)
+
+
 def dump_distribution(dist: FiniteDistribution) -> str:
     """Serialize to the ``finite-dist v1`` text format.
 
@@ -250,33 +286,20 @@ def dump_distribution(dist: FiniteDistribution) -> str:
 
 
 def load_distribution(text: str) -> FiniteDistribution:
-    """Parse the ``finite-dist v1`` format written by dump_distribution."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty distribution file")
-    head = lines[0].split()
-    if len(head) != 3 or head[:2] != ["finite-dist", "v1"]:
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        m = int(head[2])
-    except ValueError:
-        raise ParseError(f"bad state count: {head[2]!r}") from None
-    if m < 1:
-        raise ParseError(f"state count must be positive, got {m}")
+    """Parse the ``finite-dist v1`` format written by dump_distribution.
+
+    Each state may be listed at most once; unlisted states get probability 0.
+    """
+    (m,), body = _header(text, "finite-dist", 1, "distribution")
     if m > MAX_STATES:
         raise CapacityError(f"{m} states exceed the cap of {MAX_STATES}")
+    index, values = np.array([_numbers(ln, 2) for ln in body]).reshape(-1, 2).T
+    if not np.all((index % 1 == 0) & (index >= 0) & (index < m)):
+        raise ParseError(f"state indices must be integers in 0..{m - 1}")
+    if np.unique(index).size != index.size:
+        raise ParseError("a state is listed twice")
     probs = np.zeros(m)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad entry line: {ln!r}")
-        try:
-            idx, val = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"bad entry line: {ln!r}") from None
-        if not 0 <= idx < m:
-            raise ParseError(f"state index {idx} out of range for m={m}")
-        probs[idx] = val
+    probs[index.astype(int)] = values
     try:
         return FiniteDistribution(probs)
     except ValueError as exc:

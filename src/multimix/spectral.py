@@ -25,7 +25,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import CapacityError, ParseError
-from .measures import FiniteDistribution, SampleSet, _readonly
+from .measures import FiniteDistribution, SampleSet, _header, _numbers, _readonly, _row
 
 MAX_DENSE_STATES = 1 << 14
 
@@ -506,37 +506,21 @@ def minimal_balanced_initialization(
 def dump_spectrum(spectrum: Spectrum) -> str:
     """Serialize to ``spectrum v1 <m> <k>``: eigenvalue line, then one row
     of k eigenfunction values per state."""
-    lines = [f"spectrum v1 {spectrum.m} {spectrum.k}"]
-    lines.append(" ".join(repr(float(v)) for v in spectrum.eigenvalues))
-    for row in spectrum.eigenfunctions:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines = [f"spectrum v1 {spectrum.m} {spectrum.k}", _row(spectrum.eigenvalues)]
+    lines.extend(map(_row, spectrum.eigenfunctions))
     return "\n".join(lines) + "\n"
 
 
 def load_spectrum(text: str, pi: FiniteDistribution) -> Spectrum:
     """Parse ``spectrum v1`` text; the stationary law is supplied separately
     because the format stores only eigenvalues and eigenfunctions."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty spectrum file")
-    head = lines[0].split()
-    if len(head) != 4 or head[:2] != ["spectrum", "v1"]:
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        m, k = int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(f"bad dimensions in header: {lines[0]!r}") from None
+    (m, k), body = _header(text, "spectrum", 2, "spectrum")
     if m != pi.m:
         raise ParseError(f"file is for {m} states, stationary law has {pi.m}")
-    if len(lines) != m + 2:
-        raise ParseError(f"expected {m + 1} data lines, found {len(lines) - 1}")
-    try:
-        w = np.array([float(v) for v in lines[1].split()])
-        F = np.array([[float(v) for v in ln.split()] for ln in lines[2:]])
-    except ValueError:
-        raise ParseError("non-numeric entry in spectrum file") from None
-    if w.size != k or F.shape != (m, k):
-        raise ParseError("dimension mismatch between header and data")
+    if len(body) != m + 1:
+        raise ParseError(f"expected {m + 1} data lines, found {len(body)}")
+    w = _numbers(body[0], k)
+    F = np.array([_numbers(ln, k) for ln in body[1:]])
     try:
         return Spectrum(eigenvalues=w, eigenfunctions=F, pi=pi)
     except ValueError as exc:

@@ -121,6 +121,23 @@ def test_sample_mixture_writes_coordinates(bimodal, tmp_path):
     assert (pts < 0).any() and (pts > 0).any()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mixture v1 -1 1\ngaussian 1.0\n0.0\n1.0\n",
+        "mixture v1 1 2\ngaussian 0.5\n-5.0\n1.0\ngaussian 0.5\nnan\n1.0\n",
+    ],
+    ids=["negative-dimension", "nan-mean"],
+)
+def test_sample_rejects_malformed_mixture(tmp_path, capsys, text):
+    path = tmp_path / "mix.txt"
+    path.write_text(text)
+    assert main(["sample", "--model", str(path), "--count", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_sample_rejects_bad_count(cw5, capsys):
     assert main(["sample", "--model", str(cw5), "--count", "0"]) == 2
 

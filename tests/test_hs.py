@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimix import CapacityError, FiniteDistribution, ParseError, hs
 from multimix.hs import (
@@ -439,6 +442,18 @@ def test_field_net_round_trip():
     assert np.abs(back.weights - net.weights).max() < 1e-15
     assert back.radius <= net.radius + 1e-9
     assert back.mesh == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), count=st.integers(1, 6), n=st.integers(1, 4))
+def test_field_net_round_trip_property(data, count, n):
+    fields = data.draw(arrays(np.float64, (count, n), elements=st.floats(-5.0, 5.0)))
+    raw = data.draw(arrays(np.float64, count, elements=st.floats(0.0, 1.0)))
+    assume(raw.sum() > 0.0)
+    radius = float(np.linalg.norm(fields, axis=1).max())
+    net = FieldNet(fields=fields, weights=raw / raw.sum(), radius=radius, mesh=0.5)
+    text = dump_field_net(net)
+    assert dump_field_net(load_field_net(text)) == text
 
 
 def test_rank_zero_net_round_trip():

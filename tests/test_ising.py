@@ -342,6 +342,20 @@ def test_sample_exact_and_empirical_distribution():
     assert set(np.unique(C)) <= {0, 1, 2}
 
 
+def test_ising_model_equality_compares_entries():
+    model = curie_weiss(3, 1.0)
+    assert model == curie_weiss(3, 1.0)
+    J = model.J.copy()
+    J[0, 1] = J[1, 0] = 0.5
+    assert model != IsingModel(J, model.b)
+    b = model.b.copy()
+    b[2] = 0.25
+    assert model != IsingModel(model.J, b)
+    assert model != PottsModel(3, 2, 1.0)
+    with pytest.raises(TypeError):
+        hash(model)
+
+
 def test_model_file_round_trip():
     rng = make_rng(48)
     model = random_ising(rng, 4)

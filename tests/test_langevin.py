@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp, softmax
 
 from multimix import ParseError, SampleSet, empirical_tv_continuous
@@ -397,6 +400,39 @@ def test_mixture_file_parse_errors():
         load_mixture("mixture v1 1 1\nlaplace 1.0\n0.0\n1.0\n")
     with pytest.raises(ParseError):
         load_mixture("mixture v1 1 1\ngaussian 1.0\n0.0\n1.0\nextra\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(1, 3), tilted=st.lists(st.booleans(), min_size=1, max_size=3))
+def test_mixture_file_round_trip_property(data, d, tilted):
+    entries = st.floats(-4.0, 4.0)
+    comps = []
+    for ramp in tilted:
+        M = data.draw(arrays(np.float64, (d, d), elements=entries))
+        cov = M @ M.T + np.diag(data.draw(arrays(np.float64, d, elements=st.floats(0.1, 3.0))))
+        center = data.draw(arrays(np.float64, d, elements=entries))
+        if ramp:
+            tilt = data.draw(arrays(np.float64, d, elements=entries))
+            assume(np.linalg.norm(tilt) > 0.1)
+            comps.append(SoftplusComponent(center, cov, tilt, data.draw(st.floats(0.0, 3.0))))
+        else:
+            comps.append(GaussianComponent(center, cov))
+    raw = data.draw(arrays(np.float64, len(comps), elements=st.floats(0.05, 1.0)))
+    text = dump_mixture(MixtureModel(raw / raw.sum(), comps))
+    assert dump_mixture(load_mixture(text)) == text
+
+
+def test_mixture_file_keeps_the_stored_factor():
+    # refactoring the product of this factor reads 0.20000000000000004 below the diagonal
+    text = "mixture v1 2 1\ngaussian 1.0\n0.0 0.0\n0.2 0.0\n0.2 0.4\n"
+    assert dump_mixture(load_mixture(text)) == text
+    with pytest.raises(ParseError, match="lower triangular"):
+        load_mixture("mixture v1 2 1\ngaussian 1.0\n0.0 0.0\n1.0 0.5\n0.0 1.0\n")
+
+
+def test_terminal_samples_without_rows_are_a_parse_error():
+    with pytest.raises(ParseError):
+        load_terminal_samples("chain_index,x_1,flagged\n")
 
 
 def test_terminal_sample_csv_round_trip():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,17 @@ from multimix import (
     renyi_divergence,
     tv_distance,
 )
+from multimix.hs import build_field_net, dump_field_net, load_field_net, split_spectrum
+from multimix.ising import curie_weiss, dump_ising_model, exact_distribution, load_ising_model
+from multimix.langevin import (
+    GaussianComponent,
+    MixtureModel,
+    SoftplusComponent,
+    dump_mixture,
+    load_mixture,
+)
 from multimix.rng import make_rng
+from multimix.spectral import build_glauber_generator, dump_spectrum, eigendecompose, load_spectrum
 
 
 def random_distribution(rng, m: int) -> FiniteDistribution:
@@ -265,3 +276,68 @@ def test_serialization_parse_errors():
         load_distribution("finite-dist v1 4\n0 0.9\n")  # mass missing
     with pytest.raises(CapacityError):
         load_distribution(f"finite-dist v1 {(1 << 20) + 1}\n0 1.0\n")
+
+
+def test_load_distribution_rejects_a_repeated_state():
+    # the second line would otherwise overwrite the first and the sum still checks out
+    with pytest.raises(ParseError, match="twice"):
+        load_distribution("finite-dist v1 2\n0 0.5\n0 0.5\n1 0.5\n")
+
+
+# ---------------------------------------------------------------------------
+# every versioned format: a mutated dump loads or fails as a ParseError
+
+
+@cache
+def versioned_dumps() -> dict:
+    """One valid dump per versioned text format, with the loader that reads it."""
+    model = curie_weiss(3, 1.5)
+    pi = exact_distribution(model)
+    cov = np.array([[2.0, 0.3], [0.3, 0.5]])
+    mixture = MixtureModel(
+        [0.4, 0.6],
+        [
+            GaussianComponent([-1.0, 0.5], cov),
+            SoftplusComponent([1.0, 0.0], cov, [1.0, -0.5], 2.0),
+        ],
+    )
+    net = build_field_net(split_spectrum(model, 2.0), 1.0, 3, mesh=1.0)
+    return {
+        "finite-dist": (dump_distribution(pi), load_distribution),
+        "ising": (dump_ising_model(model), load_ising_model),
+        "spectrum": (
+            dump_spectrum(eigendecompose(build_glauber_generator(pi), 3)),
+            lambda text: load_spectrum(text, pi),
+        ),
+        "fieldnet": (dump_field_net(net), load_field_net),
+        "mixture": (dump_mixture(mixture), load_mixture),
+    }
+
+
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "-1", "0", "x", "", "gaussian", "softplus"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    fmt=st.sampled_from(["finite-dist", "ising", "spectrum", "fieldnet", "mixture"]),
+    data=st.data(),
+)
+def test_loaders_fail_only_with_parse_errors(fmt, data):
+    text, load = versioned_dumps()[fmt]
+    lines = text.splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    mutation = data.draw(st.sampled_from(["drop", "duplicate", "replace"]), label="mutation")
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        tokens = lines[at].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
+            st.sampled_from(FUZZ_TOKENS), label="replacement"
+        )
+        lines[at] = " ".join(tokens)
+    try:
+        load("\n".join(lines) + "\n")
+    except (ParseError, CapacityError):
+        pass
