@@ -38,7 +38,7 @@ MAX_NET_RANK = 3
 SANDWICH_LIMIT = math.exp(3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSplit:
     """Coupling split J = J_plus + J_tilde at the threshold 1 - 1/c.
 
@@ -47,7 +47,8 @@ class SpectralSplit:
     the remainder, and `negative_trace` records the total magnitude of the
     negative part of the spectrum. All of these live in feature space (see
     `_features`). The model the split was taken from rides along so the
-    field-net weights can enumerate its states.
+    field-net weights can enumerate its states. Two splits are equal when
+    their models, arrays and scalars agree exactly.
     """
 
     model: object
@@ -69,6 +70,19 @@ class SpectralSplit:
             raise ValueError("split parts must add back to the coupling")
         if self.eigenvalues.size and self.eigenvalues.min() <= self.threshold:
             raise ValueError("kept eigenvalues must exceed the threshold")
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectralSplit):
+            return NotImplemented
+        arrays = ("j_plus", "j_tilde", "eigenvalues", "basis")
+        scalars = ("negative_trace", "c", "threshold")
+        return (
+            self.model == other.model
+            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
+            and all(getattr(self, a) == getattr(other, a) for a in scalars)
+        )
+
+    __hash__ = None
 
     @cached_property
     def enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,12 +168,14 @@ def split_spectrum(model, c: float) -> SpectralSplit:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldNet:
     """Discrete net of auxiliary fields with their mixture weights.
 
     Fields are full-dimension vectors living in the image of J_plus, on a
     uniform grid of the given mesh inside the radius. Weights are normalized.
+    Two nets are equal when their fields, weights, radius and mesh agree
+    exactly.
     """
 
     fields: np.ndarray
@@ -185,6 +201,18 @@ class FieldNet:
         weights.setflags(write=False)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldNet):
+            return NotImplemented
+        return (
+            np.array_equal(self.fields, other.fields)
+            and np.array_equal(self.weights, other.weights)
+            and self.radius == other.radius
+            and self.mesh == other.mesh
+        )
+
+    __hash__ = None
 
     @property
     def count(self) -> int:
@@ -404,6 +432,6 @@ def load_field_net(text: str) -> FieldNet:
         )
     except ValueError as exc:
         raise ParseError(f"invalid field net: {exc}") from None
-    if rank not in (0, int(np.linalg.matrix_rank(fields, tol=1e-10))):
+    if rank != int(np.linalg.matrix_rank(fields, tol=1e-10)):
         raise ParseError("header rank disagrees with the stored fields")
     return net

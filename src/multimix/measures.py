@@ -26,12 +26,13 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """Probability vector over states ``{0, ..., m-1}``.
 
     Entries must be nonnegative and sum to one within 1e-12; at most 2**20
-    states. The stored vector is read-only.
+    states. The stored vector is read-only. Two distributions are equal when
+    their vectors agree entrywise.
     """
 
     probs: np.ndarray
@@ -52,6 +53,13 @@ class FiniteDistribution:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", p)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteDistribution):
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
+
+    __hash__ = None
 
     @property
     def m(self) -> int:

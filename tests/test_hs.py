@@ -456,6 +456,37 @@ def test_field_net_round_trip_property(data, count, n):
     assert dump_field_net(load_field_net(text)) == text
 
 
+def test_field_net_header_rank_must_match_the_fields():
+    text = "fieldnet v1 0 2\n1.0 0.0 0.5\n0.0 1.0 0.5\n"
+    with pytest.raises(ParseError, match="rank"):
+        load_field_net(text)
+    assert load_field_net(text.replace("v1 0 2", "v1 2 2")).count == 2
+
+
+def test_field_net_equality_compares_entries():
+    _, split, net, _, _, _ = cw_pipeline(5)
+    same = FieldNet(fields=net.fields, weights=net.weights, radius=net.radius, mesh=net.mesh)
+    assert net == same
+    assert net != FieldNet(fields=net.fields, weights=net.weights, radius=net.radius, mesh=0.0)
+    weights = net.weights.copy()
+    weights[[0, -1]] = weights[[-1, 0]] + np.array([1e-3, -1e-3])
+    assert net != FieldNet(fields=net.fields, weights=weights, radius=net.radius, mesh=net.mesh)
+    assert net != split
+    with pytest.raises(TypeError):
+        hash(net)
+
+
+def test_spectral_split_equality_compares_entries():
+    split = split_spectrum(curie_weiss(5, 1.5), 2.0)
+    assert split == split_spectrum(curie_weiss(5, 1.5), 2.0)
+    assert split != split_spectrum(curie_weiss(5, 1.5), 3.0)
+    assert split != split_spectrum(curie_weiss(5, 1.4), 2.0)
+    assert split != split_spectrum(mean_field_potts(2, 3, 1.5), 2.0)
+    assert split != split.model
+    with pytest.raises(TypeError):
+        hash(split)
+
+
 def test_rank_zero_net_round_trip():
     split = split_spectrum(zero_model(6), 2.0)
     net = build_field_net(split, 1.0, 6)

@@ -67,6 +67,16 @@ def test_distribution_validation():
     assert not d.probs.flags.writeable
 
 
+def test_distribution_equality_compares_entries():
+    d = FiniteDistribution.uniform(4)
+    assert d == FiniteDistribution.uniform(4)
+    assert d != FiniteDistribution.uniform(8)
+    assert d != FiniteDistribution(np.array([0.25, 0.25, 0.5, 0.0]))
+    assert d != d.probs.tolist()
+    with pytest.raises(TypeError):
+        hash(d)
+
+
 def test_distribution_capacity_cap():
     m = (1 << 20) + 1
     with pytest.raises(CapacityError):

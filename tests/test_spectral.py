@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +81,36 @@ def brute_force_symmetrized(pi: FiniteDistribution, q: int = 2) -> np.ndarray:
     return A
 
 
+def dense_heat_bath_fill(pi: FiniteDistribution, q: int = 2) -> np.ndarray:
+    # the dense m x m fill the CSR builder replaced, kept as its bitwise
+    # oracle: same neighbour maps, same evaluation order
+    m = pi.m
+    n = round(math.log(m, q))
+    p = pi.probs
+    sq = np.sqrt(p)
+    idx = np.arange(m)
+    shifts = np.arange(1, q)[:, None]
+    A = np.zeros((m, m))
+    diag = np.zeros(m)
+    for i in range(n):
+        stride = q**i
+        digit = (idx // stride) % q
+        nb = idx + ((digit + shifts) % q - digit) * stride
+        total = p + p[nb].sum(axis=0)
+        A[idx, nb] = -sq * sq[nb] / total
+        diag += (p[nb] / total).sum(axis=0)
+    A[idx, idx] = diag
+    return A
+
+
+def lapack_orders(gen: GeneratorMatrix, k=None) -> tuple[Spectrum, list[int]]:
+    # the spectrum, and the order of every matrix eigendecompose hands to
+    # LAPACK on the way
+    with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+        spec = eigendecompose(gen, k)
+    return spec, [call.args[0].shape[0] for call in eigh.call_args_list]
+
+
 def evolve_via_expm(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> np.ndarray:
     # evolve the measure with the rate matrix directly: d mu/dt = L' mu
     return scipy.linalg.expm(t * gen.rate_matrix().T) @ mu0.probs
@@ -137,6 +169,66 @@ def test_single_spin_gap_is_one():
     assert spec.eigenvalues[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_generator_validation_rejects_nan_and_converts_dense_input():
+    pi = FiniteDistribution.uniform(4)
+    good = build_glauber_generator(pi)
+    assert isinstance(good.A, scipy.sparse.csr_array)
+    assert not good.A.data.flags.writeable
+    assert GeneratorMatrix(A=good.A.toarray(), pi=pi) == good
+    for entry in [(0, 1), (1, 1)]:
+        bad = good.A.toarray()
+        bad[entry] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorMatrix(A=bad, pi=pi)
+    with pytest.raises(ValueError, match="square"):
+        GeneratorMatrix(A=np.zeros((4, 3)), pi=pi)
+    with pytest.raises(ValueError, match="diagonal"):
+        GeneratorMatrix(A=-np.eye(4) * 1e-6, pi=pi)
+
+
+@pytest.mark.parametrize(
+    "law, q",
+    [
+        (lambda: exact_distribution(random_ising(make_rng(31), 7)), 2),
+        (lambda: exact_distribution(mean_field_potts(4, 3, 1.3)), 3),
+        (lambda: FiniteDistribution.uniform(3**3), 3),
+    ],
+)
+def test_csr_build_equals_dense_fill_bitwise(law, q):
+    pi = law()
+    gen = build_glauber_generator(pi, q)
+    n = round(math.log(pi.m, q))
+    assert gen.A.has_canonical_format and gen.A.nnz == pi.m * (1 + n * (q - 1))
+    assert np.array_equal(gen.A.toarray(), dense_heat_bath_fill(pi, q))
+
+
+def test_generator_build_memory_is_linear_in_nnz():
+    # a dense 2^14-state build allocates 2 GB; the CSR build holds 15
+    # entries per row
+    pi = exact_distribution(curie_weiss(14, 1.5))
+    tracemalloc.start()
+    try:
+        gen = build_glauber_generator(pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.A.nnz == 15 << 14
+    assert peak < 64 << 20
+
+
+def test_generator_equality_compares_stored_entries():
+    pi = exact_distribution(curie_weiss(4, 1.0))
+    gen = build_glauber_generator(pi)
+    assert gen == build_glauber_generator(pi)
+    assert gen != build_glauber_generator(FiniteDistribution.uniform(16))
+    nudged = gen.A.copy()
+    nudged[0, 0] += 1e-12
+    assert gen != GeneratorMatrix(A=nudged, pi=pi)
+    assert gen != pi
+    with pytest.raises(TypeError):
+        hash(gen)
+
+
 def test_generator_matches_brute_force():
     rng = make_rng(11)
     pi = exact_distribution(random_ising(rng, 6))
@@ -156,7 +248,7 @@ def test_spin_generator_keeps_the_flip_arithmetic():
         A[idx, nb] = -sq * sq[nb] / total
         diag += p[nb] / total
     A[idx, idx] = diag
-    assert np.array_equal(build_glauber_generator(pi).A, A)
+    assert np.array_equal(build_glauber_generator(pi).A.toarray(), A)
 
 
 @pytest.mark.parametrize("n, q", [(3, 3), (2, 4)])
@@ -208,6 +300,58 @@ def test_glauber_generator_detailed_balance_property(law):
     assert np.all(L[sites_apart == 1] > 0.0)
 
 
+@st.composite
+def reversal_invariant_laws(draw):
+    n = draw(st.integers(1, 7))
+    logits = draw(arrays(np.float64, 1 << n, elements=st.floats(-8.0, 8.0)))
+    w = np.exp(logits)
+    w = w + w[::-1]
+    return FiniteDistribution(w / w.sum())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pi=reversal_invariant_laws())
+def test_split_eigensolve_matches_dense_oracle(pi):
+    gen = build_glauber_generator(pi)
+    w, v = scipy.linalg.eigh(gen.A.toarray())
+    sq = np.sqrt(pi.probs)[:, None]
+    for k in range(1, pi.m + 1):
+        spec, orders = lapack_orders(gen, k)
+        assert orders == [pi.m // 2] * 2
+        assert np.abs(spec.eigenvalues - w[:k]).max() <= 1e-12
+        gap = w[k] - w[k - 1] if k < pi.m else 0.0
+        if gap > 1e-9:
+            # the projector distance of the two bottom-k eigenspaces is at
+            # most the Frobenius norm of the cross block; both solves are
+            # backward stable, so by Davis-Kahan it may reach a few ulps of
+            # ||A|| over the gap (2.6e-9 at a gap of 2.4e-6, n = 7)
+            cross = np.linalg.norm(v[:, k:].T @ (spec.eigenfunctions * sq))
+            assert cross <= 1e-9 + 64 * np.finfo(float).eps * w[-1] / gap
+
+
+@pytest.mark.parametrize(
+    "model, q, split",
+    [
+        (curie_weiss(9, 1.5), 2, True),
+        (low_rank_ising(9, 2, [1.5, 1.3], 0.2, seed=4), 2, True),
+        (IsingModel(curie_weiss(9, 1.5).J, np.full(9, 0.1)), 2, False),
+        (mean_field_potts(4, 3, 1.2), 3, False),
+    ],
+    ids=["curie-weiss", "low-rank", "field", "potts-q3"],
+)
+def test_eigendecompose_route_pin(model, q, split):
+    # reversal-symmetric laws on an even state count solve two halves;
+    # anything else is solved whole, as before
+    gen = build_glauber_generator(exact_distribution(model), q)
+    orders = [gen.m // 2] * 2 if split else [gen.m]
+    for k in (5, None):
+        spec, seen = lapack_orders(gen, k)
+        assert seen == orders
+        assert spec.eigenvalues == pytest.approx(
+            scipy.linalg.eigh(gen.A.toarray(), eigvals_only=True)[: spec.k], abs=1e-12
+        )
+
+
 def test_uniform_four_spin_degenerate_gap():
     spec = eigendecompose(build_glauber_generator(FiniteDistribution.uniform(16)), k_max=6)
     assert np.abs(spec.eigenvalues[1:5] - 1.0).max() <= 1e-10
@@ -228,7 +372,7 @@ def test_trace_identity():
     rng = make_rng(13)
     gen = build_glauber_generator(exact_distribution(random_ising(rng, 6)))
     spec = eigendecompose(gen)
-    assert spec.eigenvalues.sum() == pytest.approx(np.trace(gen.A), abs=1e-6)
+    assert spec.eigenvalues.sum() == pytest.approx(np.trace(gen.A.toarray()), abs=1e-6)
 
 
 def test_sign_convention_and_partial_consistency():
@@ -254,6 +398,27 @@ def test_spectrum_validation():
         Spectrum(spec.eigenvalues, spec.eigenfunctions * 1.01, spec.pi)
     with pytest.raises(ValueError, match="ascend"):
         Spectrum(spec.eigenvalues[::-1], spec.eigenfunctions[:, ::-1], spec.pi)
+
+
+def test_spectrum_rejects_a_nan_eigenfunction_entry():
+    spec = eigendecompose(build_glauber_generator(FiniteDistribution.uniform(4)))
+    F = spec.eigenfunctions.copy()
+    F[3, 2] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        Spectrum(spec.eigenvalues, F, spec.pi)
+
+
+def test_spectrum_equality_compares_entries():
+    gen = build_glauber_generator(exact_distribution(curie_weiss(5, 1.0)))
+    spec = eigendecompose(gen, 4)
+    assert spec == eigendecompose(gen, 4)
+    assert spec != eigendecompose(gen, 3)
+    flipped = spec.eigenfunctions.copy()
+    flipped[:, 1] *= -1.0
+    assert spec != Spectrum(spec.eigenvalues, flipped, spec.pi)
+    assert spec != gen
+    with pytest.raises(TypeError):
+        hash(spec)
 
 
 def test_higher_order_gap():
