@@ -109,7 +109,8 @@ class GaussianComponent:
         return np.dot(X - self.mean, self.precision)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.mean + rng.standard_normal((count, self.dim)) @ self._chol.T
+        # np.dot, not @: matmul takes a non-BLAS loop for (N, 1) x (1, 1)
+        return self.mean + np.dot(rng.standard_normal((count, self.dim)), self._chol.T)
 
 
 class SoftplusComponent:

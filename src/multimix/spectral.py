@@ -142,8 +142,9 @@ class Spectrum:
             raise ValueError(f"bottom eigenvalue {w[0]!r} is not 0 within 1e-8")
         if not w.min() >= -1e-8:
             raise ValueError("negative relaxation rate")
-        gram = (F * self.pi.probs[:, None]).T @ F
-        err = np.abs(gram - np.eye(w.size)).max()
+        # a Gram of one operand with itself, which numpy hands to BLAS syrk
+        G = F * np.sqrt(self.pi.probs)[:, None]
+        err = np.abs(G.T @ G - np.eye(w.size)).max()
         if not err <= 1e-8:
             raise ValueError(f"eigenfunctions not pi-orthonormal: deviation {err!r}")
         if not np.abs(F[:, 0] - 1.0).max() <= 1e-6:
@@ -300,6 +301,130 @@ def _reversal_symmetric(A: scipy.sparse.csr_array) -> bool:
     )
 
 
+def _popcount(x: np.ndarray, n: int) -> np.ndarray:
+    """Set bits of each index below 2^n, by bit arithmetic (numpy's
+    ``bitwise_count`` needs numpy 2)."""
+    count = np.zeros_like(x)
+    for i in range(n):
+        count += (x >> i) & 1
+    return count
+
+
+def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray] | None:
+    """Level entries (d_p, a_p) of an exchangeable nearest-neighbour A, or None.
+
+    A qualifies when m = 2^n, row x stores exactly x and its n neighbours
+    x ^ 2^i, every diagonal entry equals d_p = A[r_p, r_p] and every stored
+    off-diagonal entry between levels p and p + 1 equals a_p = A[r_p, r_{p+1}],
+    where p counts up spins and r_p = 2^p - 1 is the level representative.
+    Equal means within tol = 1e-12 max|A|: enumeration sums energies site
+    by site in a state-dependent order, so the entries of an exchangeable
+    law spread by up to ~1e-14 relative and never agree bitwise. The matrix
+    B holding the representative values then differs from A by at most tol
+    in each of the n + 1 stored entries of a row or column, so
+    ||A - B||_2 <= (n + 1) tol: the sector eigenvalues are A's within that
+    backward error (Weyl), and the sector eigenvectors' residuals on A stay
+    below it, far inside the 1e-7 residual check. O(nnz); the diagonal is
+    tested before the pattern, which rejects most other laws early.
+    """
+    m = A.shape[0]
+    n = m.bit_length() - 1
+    if n < 1 or m != 1 << n or not np.array_equal(
+        A.indptr, np.arange(0, m * (n + 1) + 1, n + 1)
+    ):
+        return None
+    tol = 1e-12 * np.abs(A.data).max()
+    idx = np.arange(m)
+    level = _popcount(idx, n)
+    reps = (1 << np.arange(n + 1)) - 1
+    diag = A.diagonal()
+    d = diag[reps]
+    if not np.abs(diag - d[level]).max() <= tol:
+        return None
+    # canonical rows hold n + 1 distinct columns, so they are exactly x and
+    # its n neighbours when each differs from x in at most one bit
+    cols = A.indices.reshape(m, n + 1)
+    flip = cols ^ idx[:, None]
+    if np.any(flip & (flip - 1)):
+        return None
+    data = A.data.reshape(m, n + 1)
+    # row r_p holds its p lower neighbours, itself, then r_{p+1} = r_p + 2^p
+    a = data[reps[:-1], np.arange(1, n + 1)]
+    pair = np.minimum(level[:, None], level[cols])
+    expected = np.where(cols == idx[:, None], d[level][:, None], np.append(a, 0.0)[pair])
+    if not np.abs(data - expected).max() <= tol:
+        return None
+    return d, a
+
+
+def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom k eigenpairs of an exchangeable nearest-neighbour A on the
+    n-cube from its total-spin sectors (Dicke basis; the magnetisation-chain
+    structure of Levin, Luczak and Peres, PTRF 2010).
+
+    Index states by the set x of up spins and let U add one spin:
+    (U f)(x) = sum of f(x - i) over i in x. For a harmonic phi of weight j
+    (a function on j-sets that sums to zero over the j-sets containing any
+    (j-1)-set) the vectors U^t phi, t = 0..n-2j, span an A-invariant space
+    on levels j..n-j where A acts as the tridiagonal block with diagonal d_p
+    and off-diagonal a_p sqrt((p-j+1)(n-j-p)), p = j+t. The harmonics of
+    weight j have dimension C(n,j) - C(n,j-1), which is the multiplicity of
+    each block eigenvalue. A stable sort merges all of them, ties broken by
+    (j, block eigenvector, harmonic index). Only the selected sectors are
+    lifted: v(x) = y_{|x|-j} U^t phi(x) / ||U^t phi||, with an orthonormal
+    harmonic basis phi from the kernel of U's adjoint on j-sets (the bottom
+    eigenvectors of its Gram matrix, so no dense solve of order m) and
+    ||U^t phi||^2 = prod_{s<t} (s+1)(n-2j-s).
+    """
+    n = a.size
+    sectors, w_all, key = [], [], []
+    for j in range(n // 2 + 1):
+        p = np.arange(j, n - j)
+        w, y = scipy.linalg.eigh_tridiagonal(
+            d[j : n - j + 1], a[p] * np.sqrt((p - j + 1.0) * (n - j - p))
+        )
+        mult = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
+        b, h = np.divmod(np.arange(w.size * mult), mult)
+        sectors.append((y, mult))
+        w_all.append(w[b])
+        key.append(np.column_stack([np.full(b.size, j), b, h]))
+    w_all, key = np.concatenate(w_all), np.concatenate(key)
+    order = np.argsort(w_all, kind="stable")[:k]
+    m = 1 << n
+    idx = np.arange(m)
+    level = _popcount(idx, n)
+    rows, bit = np.nonzero((idx[:, None] >> np.arange(n)) & 1)
+    up = scipy.sparse.csr_array(
+        (np.ones(rows.size), rows ^ (1 << bit), np.append(0, np.cumsum(level))), shape=(m, m)
+    )
+    # built transposed, one row per eigenvector, so each sector's rows are a
+    # contiguous gather; the transpose hands back column-major vectors
+    vt = np.empty((order.size, m))
+    for j in np.unique(key[order, 0]):
+        picked = np.flatnonzero(key[order, 0] == j)
+        b, h = key[order[picked], 1], key[order[picked], 2]
+        y, mult = sectors[j]
+        base = np.flatnonzero(level == j)
+        # D'D for the map D from j-sets to the (j-1)-sets inside them: j on
+        # the diagonal, 1 where two j-sets share j - 1 elements. Its kernel
+        # is the harmonics; its other eigenvalues are at least n - 2j + 2.
+        share = _popcount(base[:, None] & base[None, :], n) == j - 1
+        gram = share + j * np.eye(base.size)
+        phi = scipy.linalg.eigh(gram, subset_by_index=(0, mult - 1))[1]
+        harmonics, which = np.unique(h, return_inverse=True)
+        lift = np.zeros((m, harmonics.size))
+        lift[base] = phi[:, harmonics]
+        step = lift
+        for t in range(n - 2 * j):
+            step = (up @ step) / math.sqrt((t + 1) * (n - 2 * j - t))
+            lift += step
+        # each block eigenvector as a function of the level, zero off j..n-j
+        profile = np.zeros((y.shape[1], n + 1))
+        profile[:, j : n - j + 1] = y.T
+        vt[picked] = profile[b][:, level] * lift.T[which]
+    return w_all[order], vt.T
+
+
 def _eigh(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bottom k eigenpairs of a dense symmetric temporary, overwritten in
     place when it is Fortran-ordered: divide and conquer (LAPACK syevd) for
@@ -336,25 +461,40 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     """Bottom-k eigenpairs of the symmetrized generator.
 
     Eigenvectors v of A are mapped to eigenfunctions f = D^{-1/2} v of -L,
-    which makes them pi-orthonormal. LAPACK gets a dense copy: of the top
-    half of the rows on the split route below, of all of A otherwise.
+    which makes them pi-orthonormal. The first route that applies is taken:
 
-    When A commutes bitwise with the state reversal x -> m - 1 - x and m is
-    even, as for every spin law without a field, A is centrosymmetric and
-    splits exactly into an even and an odd problem of order m / 2, which
-    together cost about a quarter of the unsplit solve. Otherwise (a field,
-    an odd state count such as a q = 3 Potts chain, or a symmetry that holds
-    only up to rounding) A is solved whole.
+    1. Sectors. When A is an exchangeable nearest-neighbour generator on the
+       n-cube (pi depends only on the number of up spins, as for Curie-Weiss,
+       its Hubbard-Stratonovich components and the uniform law), A splits by
+       total spin into tridiagonal blocks of order at most n + 1, solved by
+       ``eigh_tridiagonal``; no dense copy of A is made. The test allows each
+       entry to differ from its level's value by 1e-12 max|A|, which is a
+       backward error ||A - B||_2 <= (n + 1) 1e-12 max|A| (see
+       ``_exchangeable_levels``).
+    2. Even and odd halves. When A commutes bitwise with the state reversal
+       x -> m - 1 - x and m is even, as for every spin law without a field,
+       A is centrosymmetric and splits exactly into an even and an odd
+       problem of order m / 2, which LAPACK solves densely for about a
+       quarter of the unsplit cost.
+    3. Otherwise (a per-site field, an odd state count such as a q = 3 Potts
+       chain, or a symmetry that holds only up to rounding) LAPACK solves a
+       dense copy of A whole.
 
-    Either way the residuals ||A v - lambda v|| (equal to the pi-norm of the
-    eigenfunction residual) are checked against 1e-7 with the sparse A, and
-    Spectrum checks pi-orthonormality.
+    The routes agree on eigenvalues and on every eigenspace; inside a
+    degenerate eigenspace each returns its own orthonormal basis (on the
+    sector route each basis vector carries one harmonic). Either way the residuals
+    ||A v - lambda v|| (equal to the pi-norm of the eigenfunction residual)
+    are checked against 1e-7 with the sparse A, and Spectrum checks
+    pi-orthonormality.
     """
     m = gen.m
     k = m if k_max is None else int(k_max)
     if not 1 <= k <= m:
         raise ValueError(f"k_max must lie in 1..{m}, got {k_max}")
-    if m % 2 == 0 and _reversal_symmetric(gen.A):
+    levels = _exchangeable_levels(gen.A)
+    if levels is not None:
+        w, v = _sector_eigh(*levels, k)
+    elif m % 2 == 0 and _reversal_symmetric(gen.A):
         w, v = _split_eigh(gen.A, k)
     else:
         w, v = _eigh(gen.A.toarray(order="F"), k)

@@ -79,6 +79,25 @@ def test_gaussian_regularity_numbers():
     assert m.gradient_bound == pytest.approx(math.sqrt(2.0 * 4.0 * 2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "mean, cov",
+    [
+        ([0.5], [[2.0]]),
+        ([1.0, -2.0], [[1.4, 0.3], [0.3, 0.9]]),
+        ([0.0, 1.0, -1.0], [[2.0, 0.4, -0.3], [0.4, 1.1, 0.2], [-0.3, 0.2, 0.7]]),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_gaussian_sample_bytes_match_the_matmul_form(mean, cov):
+    # sample() takes np.dot for speed; seeded draws must stay the bytes the
+    # matmul form mean + z @ L' gives
+    c = GaussianComponent(mean, cov)
+    for seed, count in [(0, 1), (1, 7), (2, 10_000)]:
+        z = make_rng(seed).standard_normal((count, c.dim))
+        expected = c.mean + z @ np.linalg.cholesky(np.asarray(cov)).T
+        assert c.sample(make_rng(seed), count).tobytes() == expected.tobytes()
+
+
 def test_softplus_component_is_a_normalized_density():
     c = SoftplusComponent([0.5], [[2.0]], [1.3], 2.0)
     xs = np.linspace(-14.0, 14.0, 200_001)

@@ -30,6 +30,8 @@ from multimix.ising import (
     mean_field_potts,
     sample_exact,
 )
+from multimix import spectral
+from multimix.hs import split_spectrum
 from multimix.rng import make_rng
 from multimix.spectral import (
     GeneratorMatrix,
@@ -103,10 +105,10 @@ def dense_heat_bath_fill(pi: FiniteDistribution, q: int = 2) -> np.ndarray:
     return A
 
 
-def lapack_orders(gen: GeneratorMatrix, k=None) -> tuple[Spectrum, list[int]]:
-    # the spectrum, and the order of every matrix eigendecompose hands to
-    # LAPACK on the way
-    with mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as eigh:
+def dense_calls(gen: GeneratorMatrix, k=None) -> tuple[Spectrum, list[int]]:
+    # the spectrum, and the order of every dense problem eigendecompose hands
+    # to its LAPACK helper
+    with mock.patch.object(spectral, "_eigh", wraps=spectral._eigh) as eigh:
         spec = eigendecompose(gen, k)
     return spec, [call.args[0].shape[0] for call in eigh.call_args_list]
 
@@ -312,44 +314,122 @@ def reversal_invariant_laws(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(pi=reversal_invariant_laws())
 def test_split_eigensolve_matches_dense_oracle(pi):
+    # n <= 2 and level-constant draws are exchangeable too; the sector route
+    # is switched off so that the halves are what gets checked
     gen = build_glauber_generator(pi)
-    w, v = scipy.linalg.eigh(gen.A.toarray())
-    sq = np.sqrt(pi.probs)[:, None]
+    oracle = scipy.linalg.eigh(gen.A.toarray())
+    with mock.patch.object(spectral, "_exchangeable_levels", return_value=None):
+        for k in range(1, pi.m + 1):
+            spec, orders = dense_calls(gen, k)
+            assert orders == [pi.m // 2] * 2
+            assert_matches_dense(oracle, spec, 1e-12)
+
+
+def assert_matches_dense(oracle, spec: Spectrum, tol: float) -> None:
+    # oracle: the full dense eigh of the generator's matrix
+    w, v = oracle
+    k = spec.k
+    assert np.abs(spec.eigenvalues - w[:k]).max() <= tol
+    gap = w[k] - w[k - 1] if k < w.size else 0.0
+    if gap > 1e-9:
+        # the projector distance of the two bottom-k eigenspaces is at most
+        # the Frobenius norm of the cross block; both solves are backward
+        # stable, so by Davis-Kahan it may reach a few ulps of ||A|| over the
+        # gap (2.6e-9 at a gap of 2.4e-6, n = 7)
+        sq = np.sqrt(spec.pi.probs)[:, None]
+        cross = np.linalg.norm(v[:, k:].T @ (spec.eigenfunctions * sq))
+        assert cross <= 1e-9 + 64 * np.finfo(float).eps * w[-1] / gap
+
+
+@st.composite
+def exchangeable_laws(draw):
+    # pi(x) depends on the number of up spins only
+    n = draw(st.integers(1, 8))
+    logits = draw(arrays(np.float64, n + 1, elements=st.floats(-8.0, 8.0)))
+    w = np.exp(logits)[popcounts(n)]
+    return FiniteDistribution(w / w.sum())
+
+
+def popcounts(n: int) -> np.ndarray:
+    return np.array([bin(x).count("1") for x in range(1 << n)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pi=exchangeable_laws())
+def test_sector_eigensolve_matches_dense_oracle(pi):
+    gen = build_glauber_generator(pi)
+    oracle = scipy.linalg.eigh(gen.A.toarray())
+    scale = np.abs(gen.A.data).max()
     for k in range(1, pi.m + 1):
-        spec, orders = lapack_orders(gen, k)
-        assert orders == [pi.m // 2] * 2
-        assert np.abs(spec.eigenvalues - w[:k]).max() <= 1e-12
-        gap = w[k] - w[k - 1] if k < pi.m else 0.0
-        if gap > 1e-9:
-            # the projector distance of the two bottom-k eigenspaces is at
-            # most the Frobenius norm of the cross block; both solves are
-            # backward stable, so by Davis-Kahan it may reach a few ulps of
-            # ||A|| over the gap (2.6e-9 at a gap of 2.4e-6, n = 7)
-            cross = np.linalg.norm(v[:, k:].T @ (spec.eigenfunctions * sq))
-            assert cross <= 1e-9 + 64 * np.finfo(float).eps * w[-1] / gap
+        spec, orders = dense_calls(gen, k)
+        assert orders == []
+        assert_matches_dense(oracle, spec, 1e-12 * scale)
+
+
+def perturbed(pi: FiniteDistribution, rel: float) -> FiniteDistribution:
+    probs = pi.probs.copy()
+    probs[5] *= 1.0 + rel
+    return FiniteDistribution(probs / probs.sum())
+
+
+CW9 = curie_weiss(9, 1.5)
+
+
+def hs_component(model: IsingModel) -> IsingModel:
+    # a tilted component of the split: remainder coupling, field along the
+    # top eigendirection (uniform for Curie-Weiss up to rounding)
+    split = split_spectrum(model, 2.0)
+    return IsingModel(split.j_tilde, model.b + 0.8 * split.basis[:, 0])
 
 
 @pytest.mark.parametrize(
-    "model, q, split",
+    "law, q, route",
     [
-        (curie_weiss(9, 1.5), 2, True),
-        (low_rank_ising(9, 2, [1.5, 1.3], 0.2, seed=4), 2, True),
-        (IsingModel(curie_weiss(9, 1.5).J, np.full(9, 0.1)), 2, False),
-        (mean_field_potts(4, 3, 1.2), 3, False),
+        (lambda: exact_distribution(CW9), 2, "sector"),
+        (lambda: exact_distribution(hs_component(CW9)), 2, "sector"),
+        (lambda: FiniteDistribution.uniform(512), 2, "sector"),
+        (lambda: exact_distribution(low_rank_ising(9, 2, [1.5, 1.3], 0.2, seed=4)), 2, "split"),
+        (lambda: exact_distribution(IsingModel(CW9.J, np.linspace(0.05, 0.15, 9))), 2, "whole"),
+        (lambda: exact_distribution(mean_field_potts(4, 3, 1.2)), 3, "whole"),
+        (lambda: FiniteDistribution(np.array([0.1, 0.2, 0.3, 0.4])), 4, "whole"),
+        (lambda: perturbed(exact_distribution(CW9), 1e-9), 2, "whole"),
     ],
-    ids=["curie-weiss", "low-rank", "field", "potts-q3"],
+    ids=[
+        "curie-weiss",
+        "hs-component",
+        "uniform",
+        "low-rank",
+        "field",
+        "potts-q3",
+        "q4-n1",
+        "perturbed-exchangeable",
+    ],
 )
-def test_eigendecompose_route_pin(model, q, split):
-    # reversal-symmetric laws on an even state count solve two halves;
-    # anything else is solved whole, as before
-    gen = build_glauber_generator(exact_distribution(model), q)
-    orders = [gen.m // 2] * 2 if split else [gen.m]
-    for k in (5, None):
-        spec, seen = lapack_orders(gen, k)
+def test_eigendecompose_route_pin(law, q, route):
+    # exchangeable spin laws take the total-spin sectors and no dense solve;
+    # other reversal-symmetric laws on an even state count solve two halves;
+    # anything else (a per-site field, q > 2, symmetry only up to 1e-9) is
+    # solved whole
+    gen = build_glauber_generator(law(), q)
+    oracle = scipy.linalg.eigh(gen.A.toarray())
+    orders = {"sector": [], "split": [gen.m // 2] * 2, "whole": [gen.m]}[route]
+    for k in (3, 5, None):
+        k = None if k is None or k >= gen.m else k
+        spec, seen = dense_calls(gen, k)
         assert seen == orders
-        assert spec.eigenvalues == pytest.approx(
-            scipy.linalg.eigh(gen.A.toarray(), eigvals_only=True)[: spec.k], abs=1e-12
-        )
+        assert_matches_dense(oracle, spec, 1e-12)
+
+
+def test_uniform_spectrum_repeats_each_sector_exactly():
+    # eigenvalue e of the uniform n-cube chain has multiplicity C(n, e), the
+    # sum of the sector multiplicities C(n, j) - C(n, j - 1) over
+    # j <= min(e, n - e); each sector hands back its copies bitwise equal
+    for n in range(1, 9):
+        w = eigendecompose(build_glauber_generator(FiniteDistribution.uniform(1 << n))).eigenvalues
+        for e in range(n + 1):
+            near = w[np.abs(w - e) <= 1e-12]
+            assert near.size == math.comb(n, e)
+            assert np.unique(near).size <= min(e, n - e) + 1
 
 
 def test_uniform_four_spin_degenerate_gap():
