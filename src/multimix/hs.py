@@ -22,11 +22,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
-from scipy.special import logsumexp, softmax
 
 from .errors import CapacityError, ParseError
 from .ising import IsingModel, PottsModel, potts_digits, states_matrix
-from .measures import FiniteDistribution, _header, _numbers, _row
+from .measures import FiniteDistribution, _header, _logsumexp, _numbers, _row, _softmax
 
 MAX_EXACT_STATES = 1 << 14
 MAX_FIELDS = 1_000_000
@@ -250,13 +249,12 @@ def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
     log_gauss = -0.5 * (nodes * nodes) @ (1.0 / split.eigenvalues)
     log_z = np.empty(nodes.shape[0])
     for lo in range(0, nodes.shape[0], 4096):
-        block = nodes[lo : lo + 4096]
-        log_z[lo : lo + 4096] = logsumexp(
-            base[:, None] + proj @ block.T, axis=0
-        )
+        z = proj @ nodes[lo : lo + 4096].T
+        z += base[:, None]
+        log_z[lo : lo + 4096] = _logsumexp(z, axis=0, overwrite=True)
     per_node = (log_z + log_gauss).reshape(coords.shape[0], -1)
-    log_cells = logsumexp(per_node, axis=1) + r * math.log(mesh / 3.0)
-    return coords, softmax(log_cells), float(logsumexp(log_cells))
+    log_cells = _logsumexp(per_node, axis=1, overwrite=True) + r * math.log(mesh / 3.0)
+    return coords, _softmax(log_cells), float(_logsumexp(log_cells))
 
 
 def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: float) -> float:
@@ -268,7 +266,7 @@ def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: f
     lam1 = float(split.eigenvalues.max())
     r = split.r
     _, base, _ = split.enumeration
-    log_w = float(logsumexp(base))
+    log_w = float(_logsumexp(base))
     area = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
 
     def integrand(s: float) -> float:
@@ -327,15 +325,17 @@ def mixture_density(net: FieldNet, split: SpectralSplit, model):
     features, base, _ = split.enumeration
     potts = isinstance(model, PottsModel)
     pi2 = np.zeros(base.size)
-    components = []
+    columns = []
     for lo in range(0, net.count, 256):
-        block = softmax(base[:, None] + features @ net.fields[lo : lo + 256].T, axis=0)
+        block = _softmax(base[:, None] + features @ net.fields[lo : lo + 256].T, axis=0)
         pi2 += block @ net.weights[lo : lo + 256]
         if potts:
-            components.extend(FiniteDistribution(col) for col in block.T)
-    if not potts:
-        components = [IsingModel(split.j_tilde, model.b + h) for h in net.fields]
-    return FiniteDistribution(pi2 / pi2.sum()), tuple(components)
+            columns.append(block.T)
+    if potts:
+        components = FiniteDistribution._rows(np.concatenate(columns))
+    else:
+        components = IsingModel(split.j_tilde, model.b)._tilts(net.fields)
+    return FiniteDistribution(pi2 / pi2.sum()), components
 
 
 @dataclass(frozen=True)
@@ -393,8 +393,9 @@ def exact_mixture_refinement(pi: FiniteDistribution, weights, components):
     masses = tilted.sum(axis=1)
     q = weights * masses
     q /= q.sum()
-    refined = tuple(FiniteDistribution(row / mass) for row, mass in zip(tilted, masses))
-    recon = q @ np.stack([d.probs for d in refined])
+    tilted /= masses[:, None]
+    refined = FiniteDistribution._rows(tilted)
+    recon = q @ tilted
     if np.abs(recon - pi.probs).max() > 1e-10:
         raise RuntimeError("refined mixture failed to reconstruct the target law")
     return q, refined

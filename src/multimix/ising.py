@@ -16,13 +16,14 @@ The samplers here run the dynamics; its rate matrix and spectrum come from
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, softmax
+from scipy.special import expit
 
 from .errors import CapacityError, ParseError
-from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _readonly, _row
+from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _readonly, _row, _softmax
 from .rng import make_rng
 
 
@@ -68,6 +69,23 @@ class IsingModel:
     @property
     def n(self) -> int:
         return self.J.shape[0]
+
+    def _tilts(self, fields) -> tuple["IsingModel", ...]:
+        """One model per row h of `fields`: this coupling, shared without a
+        second check, with the field b + h."""
+        b = self.b + np.asarray(fields, dtype=float)
+        if b.ndim != 2 or b.shape[1] != self.n:
+            raise ValueError(f"field rows have shape {b.shape}, expected (k, {self.n})")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("couplings and fields must be finite")
+        b.setflags(write=False)
+        out = []
+        for row in b:
+            model = object.__new__(IsingModel)
+            object.__setattr__(model, "J", self.J)
+            object.__setattr__(model, "b", row)
+            out.append(model)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -128,11 +146,28 @@ class GlauberTrajectory:
 # state indexing
 
 
+_CACHED_STATES = 1 << 14  # 1.8 MB at n = 14, the largest cached enumeration
+_states_cache: dict[int, np.ndarray] = {}
+_states_lock = threading.Lock()
+
+
 def states_matrix(n: int) -> np.ndarray:
-    """All 2^n spin configurations as a (2^n, n) +-1 matrix, row x = state x."""
+    """All 2^n spin configurations as a (2^n, n) +-1 matrix, row x = state x.
+
+    Up to 2^14 states the matrix is built once per n and shared read-only
+    between callers and threads.
+    """
     if n < 1 or 1 << n > MAX_STATES:
         raise CapacityError(f"cannot enumerate {n} spins: need n >= 1 and 2^n <= {MAX_STATES}")
-    return index_to_spins(np.arange(1 << n), n)
+    if 1 << n > _CACHED_STATES:
+        return index_to_spins(np.arange(1 << n), n)
+    with _states_lock:
+        S = _states_cache.get(n)
+        if S is None:
+            S = index_to_spins(np.arange(1 << n), n)
+            S.setflags(write=False)
+            _states_cache[n] = S
+    return S
 
 
 def spins_to_index(x):
@@ -192,7 +227,7 @@ def exact_distribution(model) -> FiniteDistribution:
     that a CapacityError is raised. Probabilities are normalized through
     log-sum-exp, so strong couplings do not overflow.
     """
-    return FiniteDistribution(softmax(_energy_vector(model)))
+    return FiniteDistribution(_softmax(_energy_vector(model)))
 
 
 # ---------------------------------------------------------------------------

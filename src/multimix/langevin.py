@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import brentq
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import ParseError
-from .measures import SampleSet, _header, _numbers, _row
+from .measures import SampleSet, _header, _logsumexp, _numbers, _row
 from .rng import make_rng
 
 # Any coordinate beyond this aborts its chain; the threshold sits far above
@@ -200,7 +200,7 @@ class SoftplusComponent:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         t = np.interp(rng.random(count), self._cdf, self._cdf_grid)
-        g = rng.standard_normal((count, self.dim)) @ self._chol.T
+        g = np.dot(rng.standard_normal((count, self.dim)), self._chol.T)
         z = g + ((t - g @ self.tilt) / self._s2)[:, None] * self._sig_w
         return self.center + z
 
@@ -275,7 +275,7 @@ class MixtureModel:
 
     def log_density(self, x) -> np.ndarray | float:
         X, single = _as_batch(x, self.d)
-        out = logsumexp(self._component_logs(X), axis=0)
+        out = _logsumexp(self._component_logs(X), axis=0, overwrite=True)
         return float(out[0]) if single else out
 
     def potential(self, x) -> np.ndarray | float:

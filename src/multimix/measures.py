@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import rel_entr
 
 from .errors import CapacityError, ParseError
 
@@ -24,6 +24,70 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _logsumexp(a, axis=None, overwrite: bool = False):
+    """log(sum(exp(a))) over `axis`, bit for bit what scipy.special.logsumexp
+    returns for real input without weights.
+
+    The maxima are split off and counted, the rest is shifted by the maximum
+    and summed, and the result is log1p(s) + log(ties) + max (Blanchard,
+    Higham & Higham, IMA J. Numer. Anal. 41(4), 2021). An all -inf slice
+    gives -inf, a slice holding +inf gives inf and one holding NaN gives NaN,
+    as in scipy. With `overwrite` a float64 `a` is used as scratch space.
+    """
+    a = np.asarray(a, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    top = np.max(a, axis=axis, keepdims=True)
+    tied = a == top
+    ties = np.sum(tied, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.subtract(a, top, out=a if overwrite else None)
+        np.exp(z, out=z)
+        np.copyto(z, 0.0, where=tied)
+        s = np.sum(z, axis=axis, keepdims=True)
+        np.divide(s, ties, out=s, where=s != 0.0)
+        out = np.log1p(s) + np.log(ties) + top
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def _softmax(x, axis=None) -> np.ndarray:
+    """exp(x) / sum(exp(x)) over `axis`, bit for bit what
+    scipy.special.softmax returns: shift by the maximum, exponentiate and
+    divide by the sum, in place on one temporary."""
+    x = np.asarray(x, dtype=float)
+    z = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=axis, keepdims=True)
+    return z
+
+
+def _laws(p: np.ndarray) -> bool:
+    """Whether every row along the last axis of `p` is a probability vector:
+    one min and one row sum. A NaN or an infinity fails one of the two."""
+    return bool(
+        0 < p.shape[-1] <= MAX_STATES
+        and p.min() >= 0.0
+        and np.abs(p.sum(axis=-1) - 1.0).max() <= _SUM_TOL
+    )
+
+
+def _check_law(p: np.ndarray) -> None:
+    """Raise for the first check one probability vector fails, in order."""
+    if p.ndim != 1:
+        raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
+    if p.size == 0:
+        raise ValueError("empty distribution")
+    if p.size > MAX_STATES:
+        raise CapacityError(f"{p.size} states exceed the cap of {MAX_STATES}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if p.min() < 0.0:
+        raise ValueError(f"negative probability {p.min()!r}")
+    total = float(p.sum())
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,20 +103,29 @@ class FiniteDistribution:
 
     def __post_init__(self):
         p = _readonly(self.probs)
-        if p.ndim != 1:
-            raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
-        if p.size == 0:
-            raise ValueError("empty distribution")
-        if p.size > MAX_STATES:
-            raise CapacityError(f"{p.size} states exceed the cap of {MAX_STATES}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < 0.0:
-            raise ValueError(f"negative probability {p.min()!r}")
-        total = float(p.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if p.ndim != 1 or not _laws(p):
+            _check_law(p)
         object.__setattr__(self, "probs", p)
+
+    @classmethod
+    def _rows(cls, stack) -> tuple["FiniteDistribution", ...]:
+        """One distribution per row of a 2-D stack, checked once as a whole.
+
+        Raises what ``FiniteDistribution(row)`` raises for the first bad
+        row. The rows are read-only views of one private copy of the stack.
+        """
+        rows = _readonly(stack)
+        if rows.ndim != 2:
+            raise ValueError(f"need a 2-D stack of probability rows, got shape {rows.shape}")
+        if rows.shape[0] and not _laws(rows):
+            for row in rows:
+                _check_law(row)
+        out = []
+        for row in rows:
+            dist = object.__new__(cls)
+            object.__setattr__(dist, "probs", row)
+            out.append(dist)
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDistribution):
@@ -179,7 +252,7 @@ def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution, order: float)
     if np.any(qq == 0.0):
         return math.inf
     log_terms = order * np.log(p.probs[on]) + (1.0 - order) * np.log(qq)
-    return float(logsumexp(log_terms) / (order - 1.0))
+    return float(_logsumexp(log_terms) / (order - 1.0))
 
 
 def divergence_report(p: FiniteDistribution, q: FiniteDistribution) -> DivergenceReport:

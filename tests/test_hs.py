@@ -114,6 +114,18 @@ def test_rank_zero_net_is_the_model_itself():
     assert len(components) == 1
 
 
+def test_spin_components_share_one_checked_coupling():
+    model, split, net, _, _, components = cw_pipeline(7)
+    # oracle: one fully validated model per field
+    assert components == tuple(IsingModel(split.j_tilde, model.b + h) for h in net.fields)
+    assert all(c.J is components[0].J for c in components)
+    assert not any(c.b.flags.writeable for c in components)
+    bad = net.fields.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        components[0]._tilts(bad)
+
+
 def test_curie_weiss_net_sizes_and_symmetry():
     expected = {5: 45, 7: 123, 9: 155}
     for n, count in expected.items():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +89,44 @@ def test_state_codec_takes_arrays():
     assert np.array_equal(D, potts_digits(4, 3))
     assert np.array_equal(D @ 3 ** np.arange(4), np.arange(81))
     assert np.array_equal(index_to_digits(40, 4, 3), [1, 1, 1, 1])
+
+
+def test_small_enumerations_are_cached_read_only():
+    S = states_matrix(9)
+    assert states_matrix(9) is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 1.0
+    assert np.array_equal(S, index_to_spins(np.arange(512), 9))
+    # above 2^14 states every call enumerates afresh
+    big = states_matrix(15)
+    assert states_matrix(15) is not big
+    assert np.array_equal(states_matrix(15), big)
+
+
+def test_enumeration_cache_is_thread_safe(monkeypatch):
+    # eight threads race to fill an empty cache; each n must end up with one
+    # matrix that every thread received
+    monkeypatch.setattr(ising, "_states_cache", {})
+    got = [[] for _ in range(8)]
+
+    def work(out):
+        for n in range(1, 15):
+            out.append(states_matrix(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in range(1, 15):
+        assert all(out[n - 1] is ising._states_cache[n] for out in got)
 
 
 def test_potts_digits_capacity(monkeypatch):

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import trapezoid
 from scipy.special import logsumexp, softmax
 
 from multimix import ParseError, SampleSet, empirical_tv_continuous
@@ -98,12 +99,34 @@ def test_gaussian_sample_bytes_match_the_matmul_form(mean, cov):
         assert c.sample(make_rng(seed), count).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "mean, cov, tilt",
+    [
+        ([0.5], [[2.0]], [1.3]),
+        ([1.0, -2.0], [[1.4, 0.3], [0.3, 0.9]], [0.7, -1.1]),
+        ([0.0, 1.0, -1.0], [[2.0, 0.4, -0.3], [0.4, 1.1, 0.2], [-0.3, 0.2, 0.7]], [1.0, 0.5, -0.2]),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_softplus_sample_bytes_match_the_matmul_form(mean, cov, tilt):
+    # sample() takes np.dot for speed; seeded draws must stay the bytes the
+    # matmul form g = z @ L' gives
+    c = SoftplusComponent(mean, cov, tilt, 2.0)
+    chol = np.linalg.cholesky(np.asarray(cov))
+    for seed, count in [(0, 1), (1, 7), (2, 10_000)]:
+        rng = make_rng(seed)
+        t = np.interp(rng.random(count), c._cdf, c._cdf_grid)
+        g = rng.standard_normal((count, c.dim)) @ chol.T
+        expected = c.center + (g + ((t - g @ c.tilt) / c._s2)[:, None] * c._sig_w)
+        assert c.sample(make_rng(seed), count).tobytes() == expected.tobytes()
+
+
 def test_softplus_component_is_a_normalized_density():
     c = SoftplusComponent([0.5], [[2.0]], [1.3], 2.0)
     xs = np.linspace(-14.0, 14.0, 200_001)
     dens = np.exp(-c.potential(xs[:, None]))
-    assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-9)
-    assert np.trapezoid(xs * dens, xs) == pytest.approx(c.mean[0], abs=1e-10)
+    assert trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-9)
+    assert trapezoid(xs * dens, xs) == pytest.approx(c.mean[0], abs=1e-10)
     assert np.abs(c.grad(c.mode[None, :])).max() <= 1e-12
     # convex ramp: convexity floor unchanged, smoothness up by at most a/4*|w|^2
     assert c.alpha == pytest.approx(0.5, rel=1e-12)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp, softmax
 
 from multimix import (
     CapacityError,
@@ -34,6 +35,7 @@ from multimix.langevin import (
     dump_mixture,
     load_mixture,
 )
+from multimix.measures import MAX_STATES, _logsumexp, _softmax
 from multimix.rng import make_rng
 from multimix.spectral import build_glauber_generator, dump_spectrum, eigendecompose, load_spectrum
 
@@ -65,6 +67,67 @@ def test_distribution_validation():
     d = FiniteDistribution(np.array([0.25, 0.75]))
     assert d.m == 2
     assert not d.probs.flags.writeable
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(7)
+    for shape in [(1,), (9,), (6, 11), (81, 300), (2, 3, 4)]:
+        for scale in (1.0, 40.0):
+            a = rng.normal(0.0, scale, shape)
+            yield a
+            yield np.round(a)  # ties at the maximum
+            holes = a.copy()
+            holes[rng.random(shape) < 0.3] = -np.inf
+            yield holes
+            if holes.ndim == 2:
+                holes[:, 0] = -np.inf  # one all -inf column
+                holes[1, :] = -np.inf  # and one all -inf row
+                yield holes
+
+
+def test_kernels_equal_scipy_bit_for_bit():
+    for a in _kernel_inputs():
+        for axis in [None, *range(a.ndim)]:
+            ref = logsumexp(a, axis=axis)
+            for got in (_logsumexp(a, axis=axis), _logsumexp(a.copy(), axis, overwrite=True)):
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+            with np.errstate(invalid="ignore"):
+                ref, got = softmax(a, axis=axis), _softmax(a, axis=axis)
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_stack_validation_raises_what_a_single_vector_raises():
+    good = np.full(4, 0.25)
+    nan = np.array([0.5, np.nan, 0.25, 0.25])
+    negative = np.array([0.75, -0.25, 0.25, 0.25])
+    off = np.array([0.25, 0.25, 0.25, 0.25 + 1e-9])
+    for bad in (nan, negative, off):
+        with pytest.raises(ValueError) as single:
+            FiniteDistribution(bad)
+        with pytest.raises(ValueError) as stacked:
+            FiniteDistribution._rows(np.stack([good, bad, negative]))
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+    big = np.full((1, MAX_STATES + 1), 1.0 / (MAX_STATES + 1))
+    with pytest.raises(CapacityError) as single:
+        FiniteDistribution(big[0])
+    with pytest.raises(CapacityError) as stacked:
+        FiniteDistribution._rows(big)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stack_rows_are_read_only_distributions():
+    stack = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    rows = FiniteDistribution._rows(stack)
+    assert rows == tuple(FiniteDistribution(row) for row in stack)
+    stack[0, 0] = 0.0  # the rows hold their own copy
+    assert rows[0].probs[0] == 0.25
+    for d in rows:
+        assert not d.probs.flags.writeable
+        with pytest.raises(ValueError):
+            d.probs[0] = 0.5
+    assert FiniteDistribution._rows(np.empty((0, 3))) == ()
 
 
 def test_distribution_equality_compares_entries():
