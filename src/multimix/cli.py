@@ -112,6 +112,7 @@ def _cmd_fit(args) -> int:
     summary = {
         "objective": report.objective,
         "iterations": report.iterations,
+        "backtracks": report.backtracks,
         "converged": report.converged,
         "radius": report.radius,
         "max_row_norm": float(row_norms(report.model).max()),
@@ -182,7 +183,12 @@ def _add_fit_options(sub) -> None:
     sub.add_argument("--step", type=float, default=None)
     sub.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
     sub.add_argument("--tolerance", type=float, default=1e-6)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="ignored: the fit is deterministic and reads no seed",
+    )
     sub.set_defaults(func=_cmd_fit)
 
 

@@ -6,10 +6,13 @@ field). Fitting is projected gradient descent: step, re-symmetrize, project
 each row onto the l1 ball, with backtracking so the objective never increases.
 The objective depends on the data only through each distinct +-1 row and its
 frequency, so the fit folds the samples into weighted distinct rows once and
-iterates on those; one weighted margin kernel serves the loss and the
-gradient. The companion diagnostics measure how far the fitted conditionals
-are from the truth (per-coordinate KL) and push that error through trajectory
-laws and terminal-law certificates.
+iterates on those. The coupling and field sit in one (n, n+1) block [J | b],
+so a gradient is one product against [X | 1]. One margin kernel takes a
+single exponential exp(-|u|) per iterate and returns both the weighted loss
+and the sigmoid the next gradient reads, and one row-wise sort projects every
+row at once (Duchi et al. 2008). The companion diagnostics measure how far
+the fitted conditionals are from the truth (per-coordinate KL) and push that
+error through trajectory laws and terminal-law certificates.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class FitReport:
     iterations: int
     converged: bool
     epsilon_hat: float | None = None
+    backtracks: int = 0
 
     def __post_init__(self):
         if row_norms(self.model).max() > self.radius + 1e-8:
@@ -86,6 +90,8 @@ class FitReport:
             raise ValueError("objective must be finite and nonnegative")
         if self.epsilon_hat is not None and not self.epsilon_hat >= 0.0:
             raise ValueError("epsilon_hat must be nonnegative")
+        if self.backtracks < 0:
+            raise ValueError("backtracks must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -127,15 +133,40 @@ def _margins(J: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 2.0 * (X @ J.T + b) * X
 
 
-def _weighted_loss(u: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ np.logaddexp(0.0, -u).sum(axis=1))
+def _margin_kernel(u: np.ndarray, w: np.ndarray):
+    """Weighted loss sum_r w_r sum_i softplus(-u_ri) and the sigmoid
+    expit(-u) that the gradient reads, both from one exponential.
+
+    With e = exp(-|u|): softplus(-u) = log1p(e) + max(-u, 0), and expit(-u)
+    is e / (1 + e) where u >= 0 and 1 / (1 + e) elsewhere. e never
+    overflows; past |u| ~ 745 it underflows to 0, where both terms have
+    already rounded to their limits.
+    """
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(u))
+    terms = np.log1p(e)
+    terms -= np.minimum(u, 0.0)
+    # weight the rows first: a BLAS product is cheaper than n-wide row sums
+    loss = float(np.dot(w, terms).sum())
+    s = np.where(u >= 0.0, e, 1.0)
+    e += 1.0
+    s /= e
+    return loss, s
 
 
-def _weighted_gradient(u: np.ndarray, w: np.ndarray, X: np.ndarray):
-    W = -2.0 * w[:, None] * expit(-u) * X
-    GJ = W.T @ X
-    np.fill_diagonal(GJ, 0.0)
-    return GJ, W.sum(axis=0)
+def _block_gradient(s: np.ndarray, C: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+    """Gradient [GJ | gb] of the weighted loss as one (n, n+1) block, from
+    the sigmoid s = expit(-u), the weighted design C = -2 w x and
+    Xa = [X | 1]; the J block is not yet symmetrized (rows are independent
+    logistic problems) and its diagonal is zero."""
+    G = (s * C).T @ Xa
+    G.reshape(-1)[:: G.shape[1] + 1] = 0.0
+    return G
+
+
+def _design(X: np.ndarray, w: np.ndarray):
+    """[X | 1] and the weighted design -2 w x of the distinct rows."""
+    return np.hstack([X, np.ones((len(X), 1))]), -2.0 * w[:, None] * X
 
 
 def pseudolikelihood_loss(model: IsingModel, samples) -> float:
@@ -144,31 +175,50 @@ def pseudolikelihood_loss(model: IsingModel, samples) -> float:
     Each term is softplus(-u) with u = 2 (J_i . x + b_i) x_i.
     """
     X = _spin_matrix(samples, model.n)
-    return _weighted_loss(_margins(model.J, model.b, X), np.full(len(X), 1.0 / len(X)))
+    u = _margins(model.J, model.b, X)
+    return _margin_kernel(u, np.full(len(X), 1.0 / len(X)))[0]
 
 
 def pseudolikelihood_gradient(model: IsingModel, samples):
     """Analytic gradient of the loss in (J, b); the J block is not yet
     symmetrized (rows are independent logistic problems)."""
     X = _spin_matrix(samples, model.n)
-    u = _margins(model.J, model.b, X)
-    return _weighted_gradient(u, np.full(len(X), 1.0 / len(X)), X)
+    w = np.full(len(X), 1.0 / len(X))
+    _, s = _margin_kernel(_margins(model.J, model.b, X), w)
+    Xa, C = _design(X, w)
+    G = _block_gradient(s, C, Xa)
+    return G[:, :-1], G[:, -1]
 
 
-def _project_rows(J: np.ndarray, b: np.ndarray, radius: float):
-    """Euclidean projection of each row of (|J_i|, |b_i|) onto the l1 ball,
-    signs restored; entries tied at the threshold go to zero."""
-    M = np.concatenate([J, b[:, None]], axis=1)
+def _symmetrize(P: np.ndarray) -> None:
+    """J <- (J + J^T) / 2 in place on the J block of [J | b]."""
+    J = P[:, :-1]
+    J[...] = 0.5 * (J + J.T)
+
+
+def _project_rows(M: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of every row of |M| onto the l1 ball, signs
+    restored; entries tied at the threshold go to zero.
+
+    One descending sort and one cumulative sum over the whole block give
+    each row's threshold tau (Duchi et al. 2008); tau = 0 on rows already
+    inside the ball, so they pass through unchanged.
+    """
     A = np.abs(M)
-    for i in np.nonzero(A.sum(axis=1) > radius)[0]:
-        a = A[i]
-        u = np.sort(a)[::-1]
-        css = np.cumsum(u)
-        rho = np.nonzero(u * np.arange(1, a.size + 1) > css - radius)[0][-1]
-        tau = (css[rho] - radius) / (rho + 1.0)
-        A[i] = np.maximum(a - tau, 0.0)
-    out = np.sign(M) * A
-    return out[:, :-1], out[:, -1]
+    m, d = M.shape
+    U = np.sort(A, axis=1)[:, ::-1]
+    css = np.add.accumulate(U, axis=1)
+    css -= radius
+    # k = rho + 1, one past the last index where the sorted magnitude still
+    # exceeds its share of the excess
+    k = d - (U * np.arange(1.0, d + 1.0) > css)[:, ::-1].argmax(axis=1)
+    # css[r, k_r - 1] through the flat index r d + k_r - 1
+    tau = css.reshape(-1)[np.arange(-1, m * d - 1, d) + k] / k
+    tau[A.sum(axis=1) <= radius] = 0.0
+    A -= tau[:, None]
+    np.maximum(A, 0.0, out=A)
+    A *= np.sign(M)
+    return A
 
 
 def fit(samples, cfg: PleConfig) -> FitReport:
@@ -176,61 +226,72 @@ def fit(samples, cfg: PleConfig) -> FitReport:
 
     Each iteration steps along the analytic gradient, re-symmetrizes the
     coupling, projects every row, and re-symmetrizes once more; backtracking
-    halves the step until the objective does not increase. Convergence is
-    declared when the projected update, scaled back by the step, drops under
-    the tolerance.
+    halves the step until the objective does not increase, and the report
+    counts those halvings. Convergence is declared when the projected
+    update, scaled back by the step, drops under the tolerance. The fit is
+    deterministic: cfg.seed plays no part in it.
 
     The samples are validated once and folded into their distinct rows, each
     weighted by its frequency; the weighted objective equals the sample
     average, so the result does not depend on row order or on repeating the
-    whole sample. The margins of each accepted iterate feed the next
-    gradient.
+    whole sample. The parameters live in one (n, n+1) block [J | b], so the
+    gradient is one product against [X | 1] and the step, the
+    symmetrizations and the projection each act on the whole block. One
+    exponential per iterate gives both the loss and the sigmoid the next
+    gradient reads, and one row-wise sort projects every row at once.
     """
     X, counts = np.unique(_spin_matrix(samples), axis=0, return_counts=True)
     w = counts / counts.sum()
     n = X.shape[1]
+    Xa, C = _design(X, w)
+    X2 = 2.0 * X
+
+    def margins(P):
+        return (Xa @ P.T) * X2
+
     # smoothness of the per-row logistic loss is bounded by the mean squared
     # sample norm, n for spins (the 2x design factor cancels against
     # sigma' <= 1/4)
     base_step = cfg.step if cfg.step is not None else 0.5 / n
-    J = np.zeros((n, n))
-    b = np.zeros(n)
-    u = _margins(J, b, X)
-    loss = _weighted_loss(u, w)
+    P = np.zeros((n, n + 1))
+    loss, s = _margin_kernel(margins(P), w)
     converged = False
-    iterations = 0
+    iterations = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
-        GJ, gb = _weighted_gradient(u, w, X)
+        G = _block_gradient(s, C, Xa)
         step = base_step
         for _ in range(40):
-            Jn = J - step * GJ
-            Jn = 0.5 * (Jn + Jn.T)
-            np.fill_diagonal(Jn, 0.0)
-            Jn, bn = _project_rows(Jn, b - step * gb, cfg.radius)
-            Jn = 0.5 * (Jn + Jn.T)
-            un = _margins(Jn, bn, X)
-            new_loss = _weighted_loss(un, w)
+            # diag(G) = 0, so the step, both symmetrizations and the
+            # projection keep diag(J) = 0
+            Pn = P - step * G
+            _symmetrize(Pn)
+            Pn = _project_rows(Pn, cfg.radius)
+            _symmetrize(Pn)
+            new_loss, sn = _margin_kernel(margins(Pn), w)
             if new_loss <= loss + 1e-12:
                 break
             step *= 0.5
-        moved = math.sqrt(((Jn - J) ** 2).sum() + ((bn - b) ** 2).sum()) / step
-        J, b, u, loss = Jn, bn, un, new_loss
+            backtracks += 1
+        D = Pn - P
+        moved = math.sqrt(np.vdot(D, D)) / step
+        P, s, loss = Pn, sn, new_loss
         if moved <= cfg.tolerance:
             converged = True
             break
+    J, b = P[:, :-1], P[:, -1]
     # the final symmetrization can nudge a row past the budget; one global
     # rescale restores feasibility without breaking symmetry
     worst = float((np.abs(J).sum(axis=1) + np.abs(b)).max())
     if worst > cfg.radius:
-        J *= cfg.radius / worst
-        b *= cfg.radius / worst
-        loss = _weighted_loss(_margins(J, b, X), w)
+        P *= cfg.radius / worst
+        loss = _margin_kernel(margins(P), w)[0]
     return FitReport(
         model=IsingModel(J, b),
         radius=cfg.radius,
         objective=loss,
         iterations=iterations,
         converged=converged,
+        backtracks=backtracks,
     )
 
 

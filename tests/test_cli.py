@@ -166,6 +166,7 @@ def test_fit_writes_model_and_json_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is True
     assert summary["objective"] > 0.0
+    assert summary["backtracks"] == 0
     assert summary["model"] == str(out)
     fitted = load_ising_model(out.read_text())
     assert row_norms(fitted).max() <= 2.0 + 1e-8

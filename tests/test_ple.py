@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from multimix.ple import (
     FitReport,
     LearnReport,
     PleConfig,
+    _block_gradient,
+    _design,
+    _margin_kernel,
     _margins,
     _project_rows,
-    _weighted_gradient,
-    _weighted_loss,
     certify_terminal_tv,
     conditional_kl_diagnostic,
     fit,
@@ -167,16 +169,51 @@ def test_weighted_kernel_on_distinct_rows_matches_raw_rows():
     rows, counts = np.unique(X, axis=0, return_counts=True)
     assert len(rows) < len(X)
     w = counts / counts.sum()
-    u = _margins(model.J, model.b, rows)
-    assert abs(_weighted_loss(u, w) - reference_loss(model.J, model.b, X)) <= 1e-13
+    loss, s = _margin_kernel(_margins(model.J, model.b, rows), w)
+    assert abs(loss - reference_loss(model.J, model.b, X)) <= 1e-13
     # raw-row gradient: rows are independent logistic problems
     u_raw = 2.0 * (X @ model.J.T + model.b) * X
     W = (-2.0 / len(X)) * (expit(-u_raw) * X)
     GJ_ref = W.T @ X
     np.fill_diagonal(GJ_ref, 0.0)
-    GJ, gb = _weighted_gradient(u, w, rows)
-    assert np.abs(GJ - GJ_ref).max() <= 1e-13
-    assert np.abs(gb - W.sum(axis=0)).max() <= 1e-13
+    Xa, C = _design(rows, w)
+    G = _block_gradient(s, C, Xa)
+    assert np.abs(G[:, :-1] - GJ_ref).max() <= 1e-13
+    assert np.abs(G[:, -1] - W.sum(axis=0)).max() <= 1e-13
+
+
+# margins where the shared-exponential forms switch branch, reach the
+# subnormal range or would overflow a naive exp(-u)
+KERNEL_MARGINS = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 40.0, -40.0]
+KERNEL_MARGINS += [700.0, -700.0, 800.0, -800.0]
+
+
+def within_ulps(got, want, ulps=2):
+    return np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * np.abs(want))
+
+
+def test_margin_kernel_matches_logaddexp_and_expit():
+    rng = make_rng(5, "default")
+    # past u ~ 709 scipy's expit(-u) = 1 / (1 + exp(u)) is 0 because exp(u)
+    # overflows, while e / (1 + e) is still subnormal; random margins stay
+    # inside +-700
+    u = np.concatenate(
+        [KERNEL_MARGINS, rng.normal(0.0, 5.0, 500), rng.uniform(-700.0, 700.0, 500)]
+    )
+    with np.errstate(under="ignore", over="ignore"):
+        terms, sig = np.logaddexp(0.0, -u), expit(-u)
+    for v, term, want in zip(u, terms, sig):
+        # one margin with unit weight: the loss is the term itself
+        with np.errstate(all="raise"):
+            loss, s = _margin_kernel(np.array([[v]]), np.ones(1))
+        assert within_ulps(loss, term), (v, loss, term)
+        assert within_ulps(s[0, 0], want), (v, s[0, 0], want)
+    # the same values as one block, weighted
+    w = rng.random(len(u))
+    with np.errstate(all="raise"):
+        loss, s = _margin_kernel(u[:, None], w)
+    assert within_ulps(s[:, 0], sig)
+    assert loss == pytest.approx(float(w @ terms), rel=1e-14)
 
 
 def test_loss_input_validation():
@@ -218,12 +255,30 @@ projection_entries = st.one_of(
 )
 
 
+def per_row_projection(J: np.ndarray, b: np.ndarray, radius: float):
+    """Oracle: the sorted-threshold projection (Duchi et al. 2008) one
+    violating row at a time, signs restored."""
+    M = np.concatenate([J, b[:, None]], axis=1)
+    A = np.abs(M)
+    for i in np.nonzero(A.sum(axis=1) > radius)[0]:
+        a = A[i]
+        u = np.sort(a)[::-1]
+        css = np.cumsum(u)
+        rho = np.nonzero(u * np.arange(1, a.size + 1) > css - radius)[0][-1]
+        tau = (css[rho] - radius) / (rho + 1.0)
+        A[i] = np.maximum(a - tau, 0.0)
+    out = np.sign(M) * A
+    return out[:, :-1], out[:, -1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 6), radius=st.floats(0.01, 20.0))
 def test_project_rows_onto_the_l1_ball(data, n, radius):
     M = data.draw(arrays(np.float64, (n, n + 1), elements=projection_entries))
-    J, b = _project_rows(M[:, :-1], M[:, -1], radius)
-    out = np.column_stack([J, b])
+    out = _project_rows(M, radius)
+    # one sort over the block gives the per-row oracle's bits on every row
+    J, b = per_row_projection(M[:, :-1], M[:, -1], radius)
+    assert out.tobytes() == np.column_stack([J, b]).tobytes()
     assert np.all(np.abs(out).sum(axis=1) <= radius + 1e-12)
     # rows inside the ball come back bitwise, up to the sign of a zero
     inside = np.abs(M).sum(axis=1) <= radius
@@ -300,6 +355,29 @@ def test_c10_fit_iteration_count(c10_fixture):
     assert report.iterations == 968
 
 
+# iteration counts at the learn-sample benchmark size (n=8, m_fit=1000, the
+# rank-1 and rank-2 truths at model seed 4), fit seeds 0-3
+LEARN_SAMPLE_ITERATIONS = {1: [1481, 1216, 1175, 1388], 2: [1729, 1911, 1915, 1713]}
+
+
+def test_learn_sample_fit_iteration_counts():
+    for rank, top in ((1, [1.5]), (2, [1.5, 1.3])):
+        truth = low_rank_ising(8, rank, top, 0.2, seed=4)
+        radius = float(row_norms(truth).max())
+        counts = [
+            fit(sample_exact(truth, 1000, seed), PleConfig(radius=radius)).iterations
+            for seed in range(4)
+        ]
+        assert counts == LEARN_SAMPLE_ITERATIONS[rank]
+
+
+def test_backtracks_count_step_halvings(c10_fixture):
+    X, cfg = c10_fixture
+    # the default step 1/16 never needs halving here; a step of 4 does
+    assert fit(X, replace(cfg, max_iters=50)).backtracks == 0
+    assert fit(X, replace(cfg, max_iters=50, step=4.0)).backtracks > 0  # observed 59
+
+
 def test_fit_ignores_row_order_and_repetition(c10_fixture):
     X, cfg = c10_fixture
     base = fit(X, cfg)
@@ -336,6 +414,21 @@ def test_report_validation():
             converged=True,
             epsilon_hat=-0.1,
         )
+    with pytest.raises(ValueError):
+        FitReport(
+            model=zero_model(2),
+            radius=1.0,
+            objective=1.0,
+            iterations=1,
+            converged=True,
+            backtracks=-1,
+        )
+    assert (
+        FitReport(
+            model=zero_model(2), radius=1.0, objective=1.0, iterations=1, converged=True
+        ).backtracks
+        == 0
+    )
 
 
 # ---------------------------------------------------------------------------
