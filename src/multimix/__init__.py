@@ -16,7 +16,6 @@ from .hs import (
     split_spectrum,
 )
 from .ising import (
-    GlauberTrajectory,
     IsingModel,
     PottsModel,
     curie_weiss,
@@ -25,7 +24,6 @@ from .ising import (
     empirical_distribution,
     exact_distribution,
     glauber_ensemble_continuous,
-    glauber_run_continuous,
     load_ising_model,
     load_samples,
     low_rank_ising,
@@ -47,19 +45,15 @@ from .langevin import (
     sample_mixture,
     submixture,
     submixture_score,
-    warm_start_diagnostic,
 )
 from .measures import (
-    DivergenceReport,
     FiniteDistribution,
     SampleSet,
     chi2_divergence,
-    divergence_report,
     dump_distribution,
     empirical_tv_continuous,
     kl_divergence,
     load_distribution,
-    renyi_divergence,
     tv_distance,
 )
 from .ple import (
@@ -85,7 +79,6 @@ from .spectral import (
     eigendecompose,
     evolve_distribution,
     higher_order_gap,
-    minimal_balanced_initialization,
     verify_balance_contraction,
 )
 

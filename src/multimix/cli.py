@@ -33,15 +33,15 @@ from .ising import (
     sample_exact,
 )
 from .langevin import load_mixture, sample_mixture
-from .measures import _row, tv_distance
+from .measures import _row
 from .ple import (
-    MAX_CERTIFY_SPINS,
     PleConfig,
+    certify_terminal_tv,
     conditional_kl_diagnostic,
     fit,
     row_norms,
 )
-from .spectral import build_glauber_generator, eigendecompose, evolve_distribution
+from .spectral import build_glauber_generator, eigendecompose
 from . import experiments
 
 
@@ -127,15 +127,8 @@ def _cmd_certify(args) -> int:
     fitted = load_ising_model(_read(args.fitted))
     X = load_samples(_read(args.samples))
     eps = conditional_kl_diagnostic(truth, fitted, X)
-    n = truth.n
-    if n > MAX_CERTIFY_SPINS:
-        raise CapacityError(
-            f"exact certification supports up to {MAX_CERTIFY_SPINS} spins, got {n}"
-        )
-    mu0 = empirical_distribution(X, n)
-    gen = build_glauber_generator(exact_distribution(fitted))
-    terminal = evolve_distribution(gen, mu0, args.horizon)
-    tv = tv_distance(terminal, exact_distribution(truth))
+    mu0 = empirical_distribution(X, truth.n)
+    tv = certify_terminal_tv(fitted, truth, mu0, args.horizon)
     summary = {
         "epsilon_hat": eps,
         "horizon": args.horizon,

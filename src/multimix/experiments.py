@@ -274,8 +274,9 @@ def _exp_cw_gap_scaling(params, seeds, runner):
             spec = eigendecompose(
                 build_glauber_generator(exact_distribution(curie_weiss(n, beta))), 3
             )
-            # rates per coordinate update: the unit-rate eigenvalues carry a
-            # factor n that would mask the 1/n^3 scaling
+            # rates per coordinate update (unit-rate eigenvalues over n). The
+            # exact lambda3/n falls like 0.5/n (4.556e-2, 4.324e-3, 4.942e-4
+            # at n = 11, 101, 1001), so n3_lambda3 grows like n^2, not flat
             lam2 = float(spec.eigenvalues[1]) / n
             lam3 = float(spec.eigenvalues[2]) / n
             label = f"n={n} beta={beta}"

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import CapacityError, ParseError
-from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _readonly, _row, _softmax
+from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _row, _softmax
 from .rng import make_rng
 
 
@@ -103,43 +103,6 @@ class PottsModel:
             raise ValueError(f"need at least 2 colors, got {self.q}")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"inverse temperature must be finite and >= 0, got {self.beta!r}")
-
-
-@dataclass(frozen=True)
-class GlauberTrajectory:
-    """One continuous-time heat-bath run: states[j] holds from times[j] on.
-
-    Each resampling event touches one coordinate, so consecutive states
-    differ in at most one spin (a resample may keep the old value). The clock
-    starts at 0 and is strictly increasing; the seed reproduces the run
-    bit for bit.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        t = _readonly(self.times)
-        s = _readonly(self.states)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.size:
-            raise ValueError("need one state row per event time")
-        if t.size < 1 or t[0] != 0.0:
-            raise ValueError("trajectory must start at time 0")
-        if t.size > 1 and np.diff(t).min() <= 0.0:
-            raise ValueError("event times must be strictly increasing")
-        if not np.all(np.abs(s) == 1.0):
-            raise ValueError("states must be +-1 valued")
-        if s.shape[0] > 1:
-            flips = (np.abs(np.diff(s, axis=0)) > 0).sum(axis=1)
-            if flips.max() > 1:
-                raise ValueError("consecutive states differ in more than one spin")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -317,67 +280,6 @@ def low_rank_ising(
 # dynamics
 
 
-def _validate_config(model: IsingModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"configuration has shape {x.shape}, expected ({model.n},)")
-    if not np.all(np.abs(x) == 1.0):
-        raise ValueError("configuration entries must be +-1")
-    return x
-
-
-def conditional_prob(model: IsingModel, x, i: int) -> float:
-    """P(x_i = +1 | the other spins) for the heat-bath update."""
-    x = _validate_config(model, x)
-    if not 0 <= i < model.n:
-        raise ValueError(f"coordinate {i} out of range for n={model.n}")
-    # diag(J) = 0, so the dot product never sees x_i itself
-    return float(expit(2.0 * (model.J[i] @ x + model.b[i])))
-
-
-def glauber_step_discrete(
-    model: IsingModel, x, rng: np.random.Generator
-) -> np.ndarray:
-    """One discrete update: uniform coordinate, heat-bath resample.
-
-    Consumes exactly one integer and one uniform from the generator, so
-    trajectories are reproducible bit for bit from the seed.
-    """
-    x = _validate_config(model, x).copy()
-    i = int(rng.integers(model.n))
-    p = expit(2.0 * (model.J[i] @ x + model.b[i]))
-    x[i] = 1.0 if rng.random() < p else -1.0
-    return x
-
-
-def glauber_run_continuous(model: IsingModel, x0, T: float, seed: int) -> GlauberTrajectory:
-    """Continuous-time run to horizon T with unit-rate coordinate clocks.
-
-    The total number of resampling events is Poisson(nT); event times are
-    sorted uniforms on [0, T] and each event picks its coordinate uniformly,
-    which realizes n independent unit-rate clocks.
-    """
-    x = _validate_config(model, x0)
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"horizon must be finite and >= 0, got {T!r}")
-    rng = make_rng(seed, "glauber")
-    count = int(rng.poisson(model.n * T)) if T > 0.0 else 0
-    times = np.sort(rng.uniform(0.0, T, count))
-    coords = rng.integers(0, model.n, count)
-    unifs = rng.random(count)
-    states = np.empty((count + 1, model.n))
-    states[0] = x
-    cur = x.copy()
-    for j in range(count):
-        i = coords[j]
-        p = expit(2.0 * (model.J[i] @ cur + model.b[i]))
-        cur[i] = 1.0 if unifs[j] < p else -1.0
-        states[j + 1] = cur
-    return GlauberTrajectory(
-        times=np.concatenate([[0.0], times]), states=states, seed=seed
-    )
-
-
 def _ensemble_rounds(model: IsingModel, X: np.ndarray, counts, rng) -> np.ndarray:
     """Advance each row of X by its own number of heat-bath updates.
 
@@ -405,10 +307,12 @@ def _ensemble_rounds(model: IsingModel, X: np.ndarray, counts, rng) -> np.ndarra
 def glauber_ensemble_continuous(
     model: IsingModel, X0, T: float, seed: int
 ) -> np.ndarray:
-    """Terminal states of many independent continuous-time runs.
+    """Terminal states of independent continuous-time heat-bath runs to T.
 
-    Only the final configuration of each replica is kept; update counts are
-    Poisson(nT) per replica as in glauber_run_continuous.
+    Row r of X0 starts replica r. Each site carries a unit-rate clock, so a
+    replica makes Poisson(nT) updates, each at a uniform coordinate; only
+    the final configuration is kept. The seed reproduces every replica bit
+    for bit.
     """
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n:
@@ -417,18 +321,6 @@ def glauber_ensemble_continuous(
         raise ValueError(f"horizon must be finite and >= 0, got {T!r}")
     rng = make_rng(seed, "glauber")
     counts = rng.poisson(model.n * T, X.shape[0]) if T > 0.0 else np.zeros(X.shape[0], int)
-    return _ensemble_rounds(model, X, counts, rng)
-
-
-def glauber_ensemble_discrete(model: IsingModel, X0, steps: int, seed: int) -> np.ndarray:
-    """Terminal states after a fixed number of discrete updates per replica."""
-    X = np.array(X0, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n:
-        raise ValueError(f"replica matrix has shape {X.shape}, expected (R, {model.n})")
-    if steps < 0:
-        raise ValueError("step count must be >= 0")
-    rng = make_rng(seed, "glauber")
-    counts = np.full(X.shape[0], steps)
     return _ensemble_rounds(model, X, counts, rng)
 
 
@@ -456,6 +348,8 @@ def empirical_distribution(X, n: int) -> FiniteDistribution:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"sample matrix has shape {X.shape}, expected (count, {n})")
+    if 1 << n > MAX_STATES:
+        raise CapacityError(f"{1 << n} states exceed the cap of {MAX_STATES}")
     if not np.all(np.abs(X) == 1.0):
         raise ValueError("samples must be +-1 valued")
     counts = np.bincount(spins_to_index(X), minlength=1 << n)

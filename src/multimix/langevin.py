@@ -236,11 +236,9 @@ class MixtureModel:
         elif largest > separation + 1e-9:
             raise ValueError("mean separation exceeds the declared bound")
         weights.setflags(write=False)
-        means.setflags(write=False)
         self.weights = weights
         self._log_weights = tuple(math.log(p) for p in weights)
         self.components = components
-        self.means = means
         self.separation = float(separation)
         self.beta = max(c.beta for c in components)
         self.alpha = min(c.alpha for c in components)
@@ -547,44 +545,6 @@ def lmc_run(init, score: ScoreField, cfg: LmcConfig) -> LmcResult:
         if not np.abs(x).max() <= DIVERGENCE_GUARD:
             flagged |= ~(np.abs(x).max(axis=1) <= DIVERGENCE_GUARD)
     return LmcResult(SampleSet(x), flagged)
-
-
-@dataclass(frozen=True)
-class WarmStartReport:
-    """Computable driver of the warm-start bound at a candidate start point.
-
-    The surrogate collects the worst component's step-weighted squared
-    gradient plus potential gap above its mean, then adds the dimensional
-    term d*(1+log(1/(alpha*h))). The flag reports whether the point escapes
-    the concentration radius (plus separation) around any component mean.
-    """
-
-    surrogate: float
-    radius: float
-    outside: bool
-
-
-def warm_start_diagnostic(
-    model: MixtureModel, x, step: float, epsilon1: float = 0.1
-) -> WarmStartReport:
-    if not 0.0 < step <= 1.0 / (50.0 * model.beta) * (1.0 + 1e-12):
-        raise ValueError("step must satisfy h <= 1/(50*beta)")
-    if not 0.0 < epsilon1 < 1.0:
-        raise ValueError("epsilon1 must lie in (0, 1)")
-    X, _ = _as_batch(np.asarray(x, dtype=float).reshape(-1), model.d)
-    worst = -math.inf
-    for comp in model.components:
-        gap = float(comp.potential(X)[0] - comp.potential(comp.mean[None, :])[0])
-        g2 = float(np.sum(comp.grad(X)[0] ** 2))
-        worst = max(worst, step * g2 + gap)
-    surrogate = worst + model.d * (1.0 + math.log(1.0 / (model.alpha * step)))
-    radius = (math.sqrt(model.d) + math.log(3.0 / epsilon1)) / math.sqrt(
-        model.alpha
-    ) + model.separation
-    dists = np.linalg.norm(model.means - X[0], axis=1)
-    return WarmStartReport(
-        surrogate=surrogate, radius=radius, outside=bool((dists > radius).any())
-    )
 
 
 def dump_mixture(model: MixtureModel) -> str:

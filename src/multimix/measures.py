@@ -184,29 +184,6 @@ class SampleSet:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """TV, KL and chi-square between one pair of distributions.
-
-    Construction enforces tv in [0, 1] and the chi-square domination
-    kl <= log(1 + chi2) (within 1e-9); infinite kl/chi2 use ``math.inf``.
-    """
-
-    tv: float
-    kl: float
-    chi2: float
-
-    def __post_init__(self):
-        if not -1e-12 <= self.tv <= 1.0 + 1e-12:
-            raise ValueError(f"tv out of range: {self.tv!r}")
-        if self.kl < -1e-12 or self.chi2 < -1e-12:
-            raise ValueError("divergences must be nonnegative")
-        if self.kl > math.log1p(self.chi2) + 1e-9:
-            raise ValueError(
-                f"kl={self.kl!r} exceeds log(1 + chi2)={math.log1p(self.chi2)!r}"
-            )
-
-
 def _check_pair(p: FiniteDistribution, q: FiniteDistribution) -> None:
     if p.m != q.m:
         raise ValueError(f"state-space mismatch: {p.m} vs {q.m}")
@@ -236,30 +213,6 @@ def chi2_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     on = qq > 0.0
     diff = pp[on] - qq[on]
     return float(np.sum(diff * diff / qq[on]))
-
-
-def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution, order: float) -> float:
-    """Renyi divergence of the given order (> 1), in nats.
-
-    R_a(p||q) = (a-1)^{-1} log sum_x p(x)^a q(x)^{1-a}, evaluated in log
-    space. R_2 coincides with log(1 + chi2); orders are monotone.
-    """
-    _check_pair(p, q)
-    if not (isinstance(order, (int, float)) and math.isfinite(order) and order > 1.0):
-        raise ValueError(f"order must be a finite number > 1, got {order!r}")
-    on = p.probs > 0.0
-    qq = q.probs[on]
-    if np.any(qq == 0.0):
-        return math.inf
-    log_terms = order * np.log(p.probs[on]) + (1.0 - order) * np.log(qq)
-    return float(_logsumexp(log_terms) / (order - 1.0))
-
-
-def divergence_report(p: FiniteDistribution, q: FiniteDistribution) -> DivergenceReport:
-    """Compute TV, KL and chi-square for one pair in a single call."""
-    return DivergenceReport(
-        tv=tv_distance(p, q), kl=kl_divergence(p, q), chi2=chi2_divergence(p, q)
-    )
 
 
 def empirical_tv_continuous(

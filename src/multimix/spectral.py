@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -648,107 +647,6 @@ def verify_balance_contraction(
     return ContractionReport(
         times=t, lhs=lhs, bound=bound, epsilon=eps, alpha=alpha, holds=holds
     )
-
-
-EXHAUSTIVE_STATE_CAP = 4096
-_PAIR_CHUNK = 256
-
-
-def _single_state_init(B: np.ndarray, pi: np.ndarray, tol: float) -> FiniteDistribution | None:
-    flat = np.abs(B).max(axis=1) if B.shape[1] else np.zeros(B.shape[0])
-    ok = np.flatnonzero(flat <= tol)
-    if ok.size == 0:
-        return None
-    best = ok[np.argmax(pi[ok])]
-    return FiniteDistribution.delta(int(best), B.shape[0])
-
-
-def _pair_init(B: np.ndarray, tol: float) -> FiniteDistribution | None:
-    # two-point supports: weights (t, 1-t) on rows (x, y) kill the balance
-    # vector iff the segment between the rows passes within tol of the origin
-    m = B.shape[0]
-    sq = np.einsum("xi,xi->x", B, B)
-    for lo in range(0, m, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, m)
-        dots = B[lo:hi] @ B.T
-        a = sq[lo:hi, None]
-        b = sq[None, :]
-        den = a + b - 2.0 * dots
-        t = np.where(den > 1e-30, (b - dots) / np.where(den > 1e-30, den, 1.0), 0.5)
-        t = np.clip(t, 0.0, 1.0)
-        resid = t * t * a + (1.0 - t) ** 2 * b + 2.0 * t * (1.0 - t) * dots
-        cols = np.arange(m)[None, :]
-        hits = (resid <= tol * tol) & (cols > np.arange(lo, hi)[:, None])
-        if hits.any():
-            r, c = np.argwhere(hits)[0]
-            x, y = lo + int(r), int(c)
-            probs = np.zeros(m)
-            probs[x] = t[r, c]
-            probs[y] = 1.0 - t[r, c]
-            return FiniteDistribution(probs / probs.sum())
-    return None
-
-
-def minimal_balanced_initialization(
-    spectrum: Spectrum, k: int, tol: float = 1e-8
-) -> FiniteDistribution:
-    """Sparse initialization with no overlap on eigenfunctions 2..k.
-
-    Searches exhaustively for a supporting set of one or two states (state
-    spaces up to 4096; two-point supports are only minimal for k >= 3) and
-    otherwise falls back to a simplex phase-1 basic solution of the balance
-    system, whose support has at most k states. So the k-1 state target is
-    met when such a support exists within the searched sizes; failing that,
-    the result is the minimal-support basic solution found.
-
-    Raises
-    ------
-    ValueError
-        If the linear program is infeasible, which signals inconsistent
-        eigenfunctions: the stationary law itself always satisfies the
-        balance constraints, so a valid spectrum cannot be infeasible.
-    """
-    if k < 2:
-        raise ValueError(f"order must be >= 2, got {k}")
-    if spectrum.k < k:
-        raise ValueError(f"spectrum holds {spectrum.k} eigenfunctions, need {k}")
-    B = spectrum.eigenfunctions[:, 1:k]
-    pi = spectrum.pi.probs
-    m = spectrum.m
-    if m <= EXHAUSTIVE_STATE_CAP:
-        found = _single_state_init(B, pi, tol)
-        if found is not None:
-            return found
-        if k >= 3:
-            found = _pair_init(B, tol)
-            if found is not None:
-                return found
-    stack = np.vstack([B.T, np.ones(m)])
-    target = np.concatenate([np.zeros(k - 1), [1.0]])
-    res = scipy.optimize.linprog(
-        c=np.zeros(m), A_eq=stack, b_eq=target, bounds=(0.0, None), method="highs"
-    )
-    if res.status == 2:
-        raise ValueError(
-            "balance system infeasible: the eigenfunctions are inconsistent "
-            "(the stationary law itself satisfies every balance constraint, "
-            "so a valid spectrum always admits a solution)"
-        )
-    if not res.success:
-        raise RuntimeError(f"linear program failed: {res.message}")
-    support = np.flatnonzero(res.x > 1e-10)
-    # polish on the support: nonnegative least squares drives the balance
-    # residual to round-off, then the mass is renormalized exactly
-    sol, _ = scipy.optimize.nnls(stack[:, support], target)
-    probs = np.zeros(m)
-    probs[support] = sol
-    total = probs.sum()
-    if total <= 0.0:
-        raise RuntimeError("degenerate solution from the simplex fallback")
-    probs /= total
-    if np.abs(B.T @ probs).max() > tol:
-        raise RuntimeError("could not polish the basic solution to tolerance")
-    return FiniteDistribution(probs)
 
 
 def dump_spectrum(spectrum: Spectrum) -> str:

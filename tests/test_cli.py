@@ -10,6 +10,7 @@ from multimix.hs import load_field_net
 from multimix.ising import (
     curie_weiss,
     dump_ising_model,
+    empirical_distribution,
     load_ising_model,
     load_samples,
     low_rank_ising,
@@ -19,7 +20,7 @@ from multimix.langevin import (
     MixtureModel,
     dump_mixture,
 )
-from multimix.ple import row_norms
+from multimix.ple import certify_terminal_tv, row_norms
 
 
 @pytest.fixture
@@ -227,6 +228,25 @@ def test_certify_fitted_model_stays_close(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert 0.0 < summary["epsilon_hat"] < 0.01
     assert summary["terminal_tv"] < 0.05
+
+
+def test_certify_json_matches_library(tmp_path, capsys):
+    tpath, spath = fit_fixture(tmp_path)
+    fpath = tmp_path / "fitted.txt"
+    assert main(
+        ["ple", "fit", "--samples", str(spath), "--radius", "2.0", "--out", str(fpath)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["ple", "certify", "--truth", str(tpath), "--fitted", str(fpath),
+         "--samples", str(spath), "--horizon", "20"]
+    ) == 0
+    summary = json.loads(capsys.readouterr().out)
+    truth = load_ising_model(tpath.read_text())
+    fitted = load_ising_model(fpath.read_text())
+    mu0 = empirical_distribution(load_samples(spath.read_text()), truth.n)
+    # the JSON float round-trips, so the CLI must match the library bit for bit
+    assert summary["terminal_tv"] == certify_terminal_tv(fitted, truth, mu0, 20.0)
 
 
 def test_certify_capacity_exits_3(tmp_path, capsys):

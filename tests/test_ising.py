@@ -14,19 +14,14 @@ from scipy.special import expit
 
 from multimix import CapacityError, FiniteDistribution, ParseError, ising, tv_distance
 from multimix.ising import (
-    GlauberTrajectory,
     IsingModel,
     PottsModel,
-    conditional_prob,
     curie_weiss,
     dump_ising_model,
     dump_samples,
     empirical_distribution,
     exact_distribution,
     glauber_ensemble_continuous,
-    glauber_ensemble_discrete,
-    glauber_run_continuous,
-    glauber_step_discrete,
     index_to_digits,
     index_to_spins,
     load_ising_model,
@@ -145,40 +140,6 @@ def test_potts_digits_capacity(monkeypatch):
         states_matrix(7)
 
 
-def test_conditional_prob_values():
-    n = 3
-    zero = IsingModel(np.zeros((n, n)), np.zeros(n))
-    assert conditional_prob(zero, np.ones(n), 1) == 0.5
-    J = np.zeros((2, 2))
-    J[0, 1] = J[1, 0] = 0.75
-    pair = IsingModel(J, np.zeros(2))
-    p = conditional_prob(pair, np.array([-1.0, 1.0]), 0)
-    assert p == pytest.approx(1.0 / (1.0 + math.exp(-1.5)), rel=1e-12)
-
-
-def test_conditional_prob_matches_enumeration():
-    # oracle: P(x_i = +1 | rest) from the brute-force joint law
-    rng = make_rng(31)
-    model = random_ising(rng, 2)
-    pi = exact_distribution(model)
-    for rest in (-1.0, 1.0):
-        x_plus = spins_to_index(np.array([1.0, rest]))
-        x_minus = spins_to_index(np.array([-1.0, rest]))
-        oracle = pi.probs[x_plus] / (pi.probs[x_plus] + pi.probs[x_minus])
-        got = conditional_prob(model, np.array([1.0, rest]), 0)
-        assert got == pytest.approx(oracle, rel=1e-12)
-
-
-def test_conditional_prob_monotone_in_field():
-    x = np.array([1.0, -1.0, 1.0])
-    vals = []
-    for b0 in np.linspace(-4.0, 4.0, 9):
-        model = IsingModel(np.zeros((3, 3)), np.array([b0, 0.0, 0.0]))
-        vals.append(conditional_prob(model, x, 0))
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] > 0.999
-
-
 def test_exact_distribution_small_cases():
     n = 3
     uniform = exact_distribution(IsingModel(np.zeros((n, n)), np.zeros(n)))
@@ -246,46 +207,6 @@ def test_mean_field_potts_distribution():
     assert pi.probs[mono].min() >= pi.probs.max() - 1e-15
 
 
-def test_trajectory_type_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        GlauberTrajectory(np.array([0.0, 1.0, 1.0]), np.ones((3, 2)), seed=0)
-    with pytest.raises(ValueError, match="one spin"):
-        GlauberTrajectory(
-            np.array([0.0, 1.0]), np.array([[1.0, 1.0], [-1.0, -1.0]]), seed=0
-        )
-    with pytest.raises(ValueError, match="start at time 0"):
-        GlauberTrajectory(np.array([0.5]), np.ones((1, 2)), seed=0)
-
-
-def test_run_continuous_structure():
-    rng = make_rng(32)
-    model = random_ising(rng, 5)
-    x0 = np.ones(5)
-    traj = glauber_run_continuous(model, x0, 0.0, seed=9)
-    assert traj.states.shape == (1, 5)
-    assert np.array_equal(traj.final_state, x0)
-    traj = glauber_run_continuous(model, x0, 3.0, seed=9)
-    again = glauber_run_continuous(model, x0, 3.0, seed=9)
-    assert np.array_equal(traj.states, again.states)
-    assert np.array_equal(traj.times, again.times)
-    other = glauber_run_continuous(model, x0, 3.0, seed=10)
-    assert traj.states.shape != other.states.shape or not np.array_equal(
-        traj.states, other.states
-    )
-    assert traj.times[-1] <= 3.0
-
-
-def test_step_discrete_changes_one_coordinate():
-    rng_model = make_rng(33)
-    model = random_ising(rng_model, 6)
-    rng = make_rng(34, "glauber")
-    x = np.ones(6)
-    for _ in range(50):
-        nxt = glauber_step_discrete(model, x, rng)
-        assert (nxt != x).sum() <= 1
-        x = nxt
-
-
 def test_uniform_model_reaches_uniform():
     n = 6
     model = IsingModel(np.zeros((n, n)), np.zeros(n))
@@ -293,25 +214,6 @@ def test_uniform_model_reaches_uniform():
     X = glauber_ensemble_continuous(model, X0, 10.0, seed=41)
     emp = empirical_distribution(X, n)
     assert tv_distance(emp, FiniteDistribution.uniform(1 << n)) <= 0.02
-
-
-def test_one_step_law_matches_kernel_row():
-    rng = make_rng(35)
-    model = random_ising(rng, 4)
-    x0 = index_to_spins(9, 4)
-    trials = 100_000
-    X = glauber_ensemble_discrete(model, np.tile(x0, (trials, 1)), 1, seed=42)
-    counts = np.bincount(
-        ((X > 0) @ (1 << np.arange(4, dtype=np.int64))).astype(int), minlength=16
-    )
-    row = discrete_kernel(model)[9]
-    for state in range(16):
-        expected = trials * row[state]
-        if row[state] == 0.0:
-            assert counts[state] == 0
-        else:
-            sigma = math.sqrt(trials * row[state] * (1.0 - row[state]))
-            assert abs(counts[state] - expected) <= 3.0 * sigma + 1.0
 
 
 def test_stationarity_of_discrete_kernel():
@@ -380,6 +282,12 @@ def test_sample_exact_and_empirical_distribution():
     C = sample_exact(potts, 100, seed=47)
     assert C.shape == (100, 3)
     assert set(np.unique(C)) <= {0, 1, 2}
+
+
+def test_empirical_distribution_capacity():
+    # refused before any 2^n-long count vector is allocated
+    with pytest.raises(CapacityError):
+        empirical_distribution(np.ones((1, 40)), 40)
 
 
 def test_ising_model_equality_compares_entries():
@@ -459,12 +367,6 @@ def masked_continuous(model: IsingModel, X0, T: float, seed: int) -> np.ndarray:
     return masked_rounds(model, X, counts, rng)
 
 
-def masked_discrete(model: IsingModel, X0, steps: int, seed: int) -> np.ndarray:
-    X = np.array(X0, dtype=float)
-    rng = make_rng(seed, "glauber")
-    return masked_rounds(model, X, np.full(X.shape[0], steps), rng)
-
-
 ENSEMBLE_MODELS = {
     "cw8": curie_weiss(8, 1.5),
     "cw12": curie_weiss(12, 1.5),
@@ -482,9 +384,5 @@ def test_ensemble_rounds_match_masked_reference(name, seed):
     for T in (0.0, 0.05, 1.0, 4.0):
         got = glauber_ensemble_continuous(model, X0, T, seed)
         assert np.array_equal(got, masked_continuous(model, X0, T, seed))
-    for steps in (0, 1, 7, 40):
-        got = glauber_ensemble_discrete(model, X0, steps, seed)
-        assert np.array_equal(got, masked_discrete(model, X0, steps, seed))
     empty = np.empty((0, model.n))
     assert glauber_ensemble_continuous(model, empty, 2.0, seed).shape == (0, model.n)
-    assert glauber_ensemble_discrete(model, empty, 3, seed).shape == (0, model.n)

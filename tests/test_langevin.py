@@ -31,7 +31,6 @@ from multimix.langevin import (
     submixture,
     submixture_score,
     submixture_score_error,
-    warm_start_diagnostic,
 )
 from multimix.rng import make_rng
 
@@ -391,26 +390,6 @@ def test_data_init_balance_transfer():
         if np.all(np.abs(frac - p) <= 4.0 * np.sqrt(p / n)):
             hits += 1
     assert hits >= 95
-
-
-def test_warm_start_diagnostic():
-    g = MixtureModel([1.0], [GaussianComponent([0.0, 0.0], np.eye(2))])
-    report = warm_start_diagnostic(g, np.zeros(2), 1.0 / 50)
-    assert report.surrogate == pytest.approx(2.0 * (1.0 + math.log(50.0)), rel=1e-12)
-    assert not report.outside
-    far = warm_start_diagnostic(g, 10.0 * math.sqrt(2.0) * np.array([1.0, 0.0]), 1.0 / 50)
-    assert far.outside
-    with pytest.raises(ValueError, match="50"):
-        warm_start_diagnostic(g, np.zeros(2), 0.1)
-    two = MixtureModel(
-        [0.5, 0.5],
-        [GaussianComponent([-2.0, 0.0], np.eye(2)), GaussianComponent([2.0, 0.0], np.eye(2))],
-    )
-    ray = [
-        warm_start_diagnostic(two, np.array([2.0 + t, 0.0]), 1.0 / 50).surrogate
-        for t in np.linspace(0.0, 8.0, 17)
-    ]
-    assert all(a < b for a, b in zip(ray, ray[1:]))
 
 
 def test_score_field_validation():

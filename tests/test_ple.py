@@ -589,12 +589,12 @@ def test_initialization_source_robustness():
 
 def test_certification_at_stationarity_is_zero():
     model = random_model(7, 5)
-    assert certify_terminal_tv(model, exact_distribution(model), 2.0) <= 1e-10
+    assert certify_terminal_tv(model, model, exact_distribution(model), 2.0) <= 1e-10
 
 
 def test_certification_capacity():
     with pytest.raises(CapacityError):
-        certify_terminal_tv(zero_model(11), None, 1.0)
+        certify_terminal_tv(zero_model(11), zero_model(11), None, 1.0)
 
 
 def test_learn_and_sample_rank_one_fixture():

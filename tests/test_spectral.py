@@ -44,7 +44,6 @@ from multimix.spectral import (
     evolve_distribution,
     higher_order_gap,
     load_spectrum,
-    minimal_balanced_initialization,
     verify_balance_contraction,
 )
 
@@ -748,60 +747,6 @@ def test_degenerate_block_rotation_invariance():
     ta = chi2_trajectory(spec, mu0, [0.4, 1.7])
     tb = chi2_trajectory(rotated, mu0, [0.4, 1.7])
     assert np.abs(ta - tb).max() <= 1e-10
-
-
-def test_minimal_balanced_initialization_curie_weiss():
-    spec = eigendecompose(build_glauber_generator(exact_distribution(curie_weiss(9, 1.5))))
-    B = spec.eigenfunctions
-    for k in (2, 3, 4):
-        rho = minimal_balanced_initialization(spec, k)
-        assert np.abs(B[:, 1:k].T @ rho.probs).max() <= 1e-8
-        assert rho.support().size <= k
-    # no single state of the n=9 chain zeroes f2 exactly, so the k=2 answer
-    # is the two-point basic solution
-    assert np.abs(B[:, 1]).min() > 1e-8
-    assert minimal_balanced_initialization(spec, 2).support().size == 2
-
-
-def test_minimal_balanced_initialization_full_order():
-    spec = eigendecompose(build_glauber_generator(exact_distribution(curie_weiss(3, 0.8))))
-    rho = minimal_balanced_initialization(spec, 8)
-    # balancing against every nonconstant eigenfunction pins the law to pi
-    assert np.abs(rho.probs - spec.pi.probs).max() <= 1e-10
-
-
-def test_minimal_balanced_initialization_product_mixture():
-    rng = make_rng(21)
-    comps = [product_distribution(rng, 5) for _ in range(2)]
-    mix = FiniteDistribution(0.5 * comps[0].probs + 0.5 * comps[1].probs)
-    spec = eigendecompose(build_glauber_generator(mix))
-    rho = minimal_balanced_initialization(spec, 2)
-    assert np.abs(spec.eigenfunctions[:, 1] @ rho.probs) <= 1e-8
-    has_zero_state = np.abs(spec.eigenfunctions[:, 1]).min() <= 1e-8
-    assert (rho.support().size == 1) == has_zero_state
-
-
-def test_minimal_balanced_initialization_validation():
-    spec = eigendecompose(build_glauber_generator(FiniteDistribution.uniform(8)))
-    with pytest.raises(ValueError):
-        minimal_balanced_initialization(spec, 1)
-    partial = eigendecompose(build_glauber_generator(FiniteDistribution.uniform(8)), k_max=3)
-    with pytest.raises(ValueError):
-        minimal_balanced_initialization(partial, 5)
-
-
-def test_minimal_balanced_initialization_mixes():
-    # balanced starts reach stationarity at the higher-order-gap rate
-    rng = make_rng(22)
-    delta = 0.05
-    for _ in range(2):
-        pi = exact_distribution(random_ising(rng, 6, scale=0.25))
-        gen = build_glauber_generator(pi)
-        spec = eigendecompose(gen)
-        k = 3
-        rho = minimal_balanced_initialization(spec, k)
-        t = np.log(pi.m / delta) / higher_order_gap(spec, k)
-        assert tv_distance(evolve_distribution(gen, rho, float(t)), pi) <= delta
 
 
 def test_spectrum_serialization_round_trip():
