@@ -50,10 +50,8 @@ from .measures import (
     FiniteDistribution,
     SampleSet,
     chi2_divergence,
-    dump_distribution,
     empirical_tv_continuous,
     kl_divergence,
-    load_distribution,
     tv_distance,
 )
 from .ple import (

@@ -539,6 +539,19 @@ PARAMETERS = {
 # config handling and the runner
 
 
+def _check_rule(rule: dict) -> None:
+    """A `require` rule names a metric and may add a `parameters` label and
+    numeric `min`/`max` bounds; any other key is refused, not ignored."""
+    if not isinstance(rule.get("metric"), str):
+        raise ParseError(f"require rule {rule!r} names no 'metric'")
+    unknown = set(rule) - {"metric", "parameters", "min", "max"}
+    if unknown:
+        raise ParseError(f"require rule {rule!r} has unknown key(s) {sorted(unknown)}")
+    for key in ("min", "max"):
+        if key in rule and (type(rule[key]) not in (int, float) or math.isnan(rule[key])):
+            raise ParseError(f"require rule {rule!r}: {key!r} must be a number")
+
+
 def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
     try:
         raw = json.loads(text)
@@ -556,7 +569,7 @@ def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ParseError("each experiment needs at least a 'name'")
         seeds = entry.get("seeds", [])
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
             raise ParseError("experiment seeds must be a list of integers")
         params = entry.get("params", {})
         if not isinstance(params, dict):
@@ -564,6 +577,8 @@ def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
         require = entry.get("require", [])
         if not isinstance(require, list) or not all(isinstance(r, dict) for r in require):
             raise ParseError("'require' must be a list of objects")
+        for rule in require:
+            _check_rule(rule)
         configs.append(
             ExperimentConfig(
                 name=entry["name"],
@@ -581,7 +596,7 @@ def _check_requirements(rows, require) -> bool:
         matched = [
             r
             for r in rows
-            if r.metric == rule.get("metric")
+            if r.metric == rule["metric"]
             and ("parameters" not in rule or r.parameters == rule["parameters"])
         ]
         if not matched:
@@ -589,9 +604,9 @@ def _check_requirements(rows, require) -> bool:
             continue
         for r in matched:
             if "min" in rule:
-                ok &= r.value >= float(rule["min"])
+                ok &= r.value >= rule["min"]
             if "max" in rule:
-                ok &= r.value <= float(rule["max"])
+                ok &= r.value <= rule["max"]
     return ok
 
 

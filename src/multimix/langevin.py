@@ -28,6 +28,10 @@ from .rng import make_rng
 DIVERGENCE_GUARD = 1e8
 
 _MC_SAMPLES = 100_000
+# perturb_score's field: this many sinusoidal waves, with frequencies drawn
+# uniformly from this range in units of one over the mixture's footprint
+_NOISE_WAVES = 8
+_NOISE_FREQ = (0.2, 1.0)
 # rows per block when a Monte Carlo moment is taken over _MC_SAMPLES draws
 _MC_BLOCK = 8192
 
@@ -353,23 +357,6 @@ def exact_score(model: MixtureModel) -> ScoreField:
     return ScoreField(fn=model.score, kind="exact")
 
 
-@dataclass(frozen=True)
-class SinusoidalNoise:
-    """Spec for the perturbation field: a fixed random combination of a few
-    low-frequency sinusoidal vector fields, so the perturbation is smooth,
-    bounded, and reproducible from a seed."""
-
-    waves: int = 8
-    min_freq: float = 0.2
-    max_freq: float = 1.0
-
-    def __post_init__(self):
-        if self.waves < 0:
-            raise ValueError("wave count must be nonnegative")
-        if not 0.0 <= self.min_freq <= self.max_freq:
-            raise ValueError("need 0 <= min_freq <= max_freq")
-
-
 def _unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     rows = rng.standard_normal((count, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -378,29 +365,26 @@ def _unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 def perturb_score(
     model: MixtureModel,
     epsilon: float,
-    noise: SinusoidalNoise | None = None,
     seed: int = 0,
 ) -> ScoreField:
     """Exact score plus a random smooth field rescaled to stationary L2 size
-    epsilon. Frequencies live below one over the mixture's footprint, the
-    separation scale plus one component standard-deviation radius, so the
-    field varies slowly where the mass sits."""
+    epsilon: a fixed random combination of a few low-frequency sinusoidal
+    vector fields, reproducible from the seed. Frequencies live below one over
+    the mixture's footprint, the separation scale plus one component
+    standard-deviation radius, so the field varies slowly where the mass
+    sits."""
     if not epsilon >= 0.0:
         raise ValueError("perturbation size must be nonnegative")
     if epsilon == 0.0:
         return exact_score(model)
-    spec = noise if noise is not None else SinusoidalNoise()
     rng = make_rng(seed)
     d = model.d
     footprint = model.separation + math.sqrt(d / model.alpha)
-    values = _unit_rows(rng, max(spec.waves, 1), d)[: spec.waves]
-    omegas = _unit_rows(rng, max(spec.waves, 1), d)[: spec.waves]
-    omegas = omegas * (
-        rng.uniform(spec.min_freq, spec.max_freq, max(spec.waves, 1))[: spec.waves, None]
-        / footprint
-    )
-    phases = rng.uniform(0.0, 2.0 * math.pi, spec.waves)
-    amps = rng.standard_normal(spec.waves)
+    values = _unit_rows(rng, _NOISE_WAVES, d)
+    omegas = _unit_rows(rng, _NOISE_WAVES, d)
+    omegas = omegas * (rng.uniform(*_NOISE_FREQ, _NOISE_WAVES)[:, None] / footprint)
+    phases = rng.uniform(0.0, 2.0 * math.pi, _NOISE_WAVES)
+    amps = rng.standard_normal(_NOISE_WAVES)
 
     freqs = np.ascontiguousarray(omegas.T)
     mix = amps[:, None] * values
@@ -591,39 +575,3 @@ def load_mixture(text: str) -> MixtureModel:
         return MixtureModel(weights, [cls._from_factor(*args) for cls, args in specs])
     except ValueError as exc:
         raise ParseError(f"invalid mixture: {exc}") from None
-
-
-def dump_terminal_samples(result: LmcResult) -> str:
-    """CSV with one row per chain: chain_index, coordinates, flagged."""
-    d = result.samples.dim
-    header = "chain_index," + ",".join(f"x_{j + 1}" for j in range(d)) + ",flagged"
-    lines = [header]
-    for i, row in enumerate(result.samples.data):
-        coords = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{i},{coords},{int(result.flagged[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def load_terminal_samples(text: str) -> LmcResult:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if len(lines) < 2:
-        raise ParseError("sample file holds no chains")
-    head = lines[0].split(",")
-    if head[0] != "chain_index" or head[-1] != "flagged" or len(head) < 3:
-        raise ParseError(f"bad sample header {lines[0]!r}")
-    d = len(head) - 2
-    points = np.empty((len(lines) - 1, d))
-    flags = np.empty(len(lines) - 1, dtype=bool)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != d + 2:
-            raise ParseError(f"row {i} has {len(parts)} fields, expected {d + 2}")
-        try:
-            index, flag = int(parts[0]), int(parts[-1])
-            points[i] = [float(v) for v in parts[1:-1]]
-        except ValueError as exc:
-            raise ParseError(f"bad number in row {i}") from exc
-        if index != i or flag not in (0, 1):
-            raise ParseError(f"row {i} needs chain index {i} and flag 0 or 1")
-        flags[i] = bool(flag)
-    return LmcResult(SampleSet(points), flags)

@@ -138,13 +138,11 @@ class FiniteDistribution:
     def m(self) -> int:
         return self.probs.size
 
-    def support(self) -> np.ndarray:
-        """Indices of states with nonzero probability."""
-        return np.flatnonzero(self.probs)
-
     @classmethod
     def delta(cls, index: int, m: int) -> "FiniteDistribution":
-        """Point mass on one state."""
+        """Point mass on state `index`, one of ``0, ..., m-1``."""
+        if not 0 <= index < m:
+            raise ValueError(f"state index {index!r} outside 0..{m - 1}")
         p = np.zeros(m)
         p[index] = 1.0
         return cls(p)
@@ -304,37 +302,3 @@ def _numbers(line: str, count: int | None = None) -> np.ndarray:
 def _row(values) -> str:
     """One line of numbers at shortest round-trip precision."""
     return " ".join(repr(float(v)) for v in values)
-
-
-def dump_distribution(dist: FiniteDistribution) -> str:
-    """Serialize to the ``finite-dist v1`` text format.
-
-    One header line ``finite-dist v1 <m>``, then an ``index probability``
-    line per state of nonzero probability. Probabilities are written with
-    shortest round-trip precision, so load(dump(d)) reproduces d exactly.
-    """
-    lines = [f"finite-dist v1 {dist.m}"]
-    for i in dist.support():
-        lines.append(f"{i} {float(dist.probs[i])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_distribution(text: str) -> FiniteDistribution:
-    """Parse the ``finite-dist v1`` format written by dump_distribution.
-
-    Each state may be listed at most once; unlisted states get probability 0.
-    """
-    (m,), body = _header(text, "finite-dist", 1, "distribution")
-    if m > MAX_STATES:
-        raise CapacityError(f"{m} states exceed the cap of {MAX_STATES}")
-    index, values = np.array([_numbers(ln, 2) for ln in body]).reshape(-1, 2).T
-    if not np.all((index % 1 == 0) & (index >= 0) & (index < m)):
-        raise ParseError(f"state indices must be integers in 0..{m - 1}")
-    if np.unique(index).size != index.size:
-        raise ParseError("a state is listed twice")
-    probs = np.zeros(m)
-    probs[index.astype(int)] = values
-    try:
-        return FiniteDistribution(probs)
-    except ValueError as exc:
-        raise ParseError(f"invalid distribution: {exc}") from None

@@ -23,8 +23,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import CapacityError, ParseError
-from .measures import FiniteDistribution, SampleSet, _header, _numbers, _readonly, _row
+from .errors import CapacityError
+from .measures import FiniteDistribution, SampleSet, _readonly
 
 MAX_DENSE_STATES = 1 << 14
 
@@ -647,27 +647,3 @@ def verify_balance_contraction(
     return ContractionReport(
         times=t, lhs=lhs, bound=bound, epsilon=eps, alpha=alpha, holds=holds
     )
-
-
-def dump_spectrum(spectrum: Spectrum) -> str:
-    """Serialize to ``spectrum v1 <m> <k>``: eigenvalue line, then one row
-    of k eigenfunction values per state."""
-    lines = [f"spectrum v1 {spectrum.m} {spectrum.k}", _row(spectrum.eigenvalues)]
-    lines.extend(map(_row, spectrum.eigenfunctions))
-    return "\n".join(lines) + "\n"
-
-
-def load_spectrum(text: str, pi: FiniteDistribution) -> Spectrum:
-    """Parse ``spectrum v1`` text; the stationary law is supplied separately
-    because the format stores only eigenvalues and eigenfunctions."""
-    (m, k), body = _header(text, "spectrum", 2, "spectrum")
-    if m != pi.m:
-        raise ParseError(f"file is for {m} states, stationary law has {pi.m}")
-    if len(body) != m + 1:
-        raise ParseError(f"expected {m + 1} data lines, found {len(body)}")
-    w = _numbers(body[0], k)
-    F = np.array([_numbers(ln, k) for ln in body[1:]])
-    try:
-        return Spectrum(eigenvalues=w, eigenfunctions=F, pi=pi)
-    except ValueError as exc:
-        raise ParseError(f"invalid spectrum: {exc}") from None

@@ -104,12 +104,26 @@ def test_invalid_json_exits_2(tmp_path):
         '{"experiments": [{"name": "cw-gap-scaling", "seeds": []}]}',
         '{"experiments": [{"name": "no-such-thing", "seeds": [0]}]}',
         '{"experiments": [], "out": 9}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [true]}]}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "require": [{"max": 0.1}]}]}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+        ' "require": [{"metric": "lambda2_ratio", "mx": 0.1}]}]}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+        ' "require": [{"metric": "lambda2_ratio", "max": "abc"}]}]}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+        ' "require": [{"metric": "lambda2_ratio", "min": true}]}]}',
+        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+        ' "require": [{"metric": "lambda2_ratio", "max": NaN}]}]}',
     ],
 )
-def test_malformed_configs_exit_2(tmp_path, payload):
+def test_malformed_configs_exit_2(tmp_path, payload, monkeypatch):
+    # every one of these is refused while parsing, before any experiment runs
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: pytest.fail("ran"))
     p = tmp_path / "bad.json"
     p.write_text(payload)
     assert run(p) == 2
+    with pytest.raises(ParseError):
+        _parse_config(payload)
 
 
 def test_misspelt_parameter_exits_2_before_any_experiment_runs(tmp_path, monkeypatch, capsys):

@@ -318,6 +318,10 @@ def test_model_file_round_trip():
         load_ising_model("ising v2 1\n0.0\n0.0\n")
     with pytest.raises(ParseError):
         load_ising_model("ising v1 2\n0.0 x\n0.1 0.0\n0.0 0.0\n")
+    with pytest.raises(ParseError, match="expected 2 numbers"):
+        load_ising_model("ising v1 2\n0.0 0.1 0.2\n0.1 0.0\n0.0 0.0\n")
+    with pytest.raises(ParseError, match="non-finite"):
+        load_ising_model("ising v1 2\n0.0 nan\nnan 0.0\n0.0 0.0\n")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

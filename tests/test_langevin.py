@@ -11,21 +11,18 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 from scipy.special import logsumexp, softmax
 
-from multimix import ParseError, SampleSet, empirical_tv_continuous
+from multimix import ParseError, SampleSet, empirical_tv_continuous, langevin
 from multimix.langevin import (
     DIVERGENCE_GUARD,
     GaussianComponent,
     LmcConfig,
     MixtureModel,
     ScoreField,
-    SinusoidalNoise,
     SoftplusComponent,
     dump_mixture,
-    dump_terminal_samples,
     exact_score,
     lmc_run,
     load_mixture,
-    load_terminal_samples,
     perturb_score,
     sample_mixture,
     submixture,
@@ -237,10 +234,11 @@ def test_perturb_score_measured_error():
     assert max(ratios) - min(ratios) <= 1e-10
 
 
-def test_perturb_score_rejects_degenerate_noise():
+def test_perturb_score_rejects_degenerate_noise(monkeypatch):
     m = MixtureModel([1.0], [GaussianComponent([0.0], [[1.0]])])
+    monkeypatch.setattr(langevin, "_mean_square", lambda field, X: 0.0)
     with pytest.raises(ValueError, match="degenerate"):
-        perturb_score(m, 0.2, noise=SinusoidalNoise(waves=0), seed=4)
+        perturb_score(m, 0.2, seed=4)
     with pytest.raises(ValueError, match="nonnegative"):
         perturb_score(m, -0.1, seed=4)
 
@@ -451,27 +449,6 @@ def test_mixture_file_keeps_the_stored_factor():
         load_mixture("mixture v1 2 1\ngaussian 1.0\n0.0 0.0\n1.0 0.5\n0.0 1.0\n")
 
 
-def test_terminal_samples_without_rows_are_a_parse_error():
-    with pytest.raises(ParseError):
-        load_terminal_samples("chain_index,x_1,flagged\n")
-
-
-def test_terminal_sample_csv_round_trip():
-    m = MixtureModel([1.0], [GaussianComponent([0.0, 0.0], np.eye(2))])
-    res = lmc_run(np.zeros(2), exact_score(m), LmcConfig(step=0.1, horizon=1.0, seed=6, chains=5))
-    text = dump_terminal_samples(res)
-    assert text.splitlines()[0] == "chain_index,x_1,x_2,flagged"
-    back = load_terminal_samples(text)
-    assert np.array_equal(back.samples.data, res.samples.data)
-    assert np.array_equal(back.flagged, res.flagged)
-    with pytest.raises(ParseError):
-        load_terminal_samples("x_1,flagged\n0.0,0\n")
-    with pytest.raises(ParseError):
-        load_terminal_samples("chain_index,x_1,flagged\n1,0.0,0\n")  # bad index
-    with pytest.raises(ParseError):
-        load_terminal_samples("chain_index,x_1,flagged\n0,0.0,2\n")
-
-
 # ---------------------------------------------------------------------------
 # oracles: a triangular solve per potential call, scipy's softmax posterior
 
@@ -545,20 +522,20 @@ def test_mixture_matches_triangular_solve_oracle(name, model):
 def reference_perturbation(model: MixtureModel, epsilon: float, seed: int):
     """The perturbation's scale and measured error from full, unblocked
     100 000-draw moments, drawing exactly what perturb_score draws."""
-    spec = SinusoidalNoise()
+    waves = langevin._NOISE_WAVES
     rng = make_rng(seed)
     d = model.d
     footprint = model.separation + math.sqrt(d / model.alpha)
 
     def unit_rows():
-        rows = rng.standard_normal((spec.waves, d))
+        rows = rng.standard_normal((waves, d))
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
     values = unit_rows()
     omegas = unit_rows()
-    omegas = omegas * (rng.uniform(spec.min_freq, spec.max_freq, spec.waves)[:, None] / footprint)
-    phases = rng.uniform(0.0, 2.0 * math.pi, spec.waves)
-    amps = rng.standard_normal(spec.waves)
+    omegas = omegas * (rng.uniform(*langevin._NOISE_FREQ, waves)[:, None] / footprint)
+    phases = rng.uniform(0.0, 2.0 * math.pi, waves)
+    amps = rng.standard_normal(waves)
 
     def field(X):
         return (np.sin(X @ omegas.T + phases) * amps) @ values

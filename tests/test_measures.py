@@ -6,9 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp, softmax
 
 from multimix import (
@@ -17,14 +16,12 @@ from multimix import (
     ParseError,
     SampleSet,
     chi2_divergence,
-    dump_distribution,
     empirical_tv_continuous,
     kl_divergence,
-    load_distribution,
     tv_distance,
 )
 from multimix.hs import build_field_net, dump_field_net, load_field_net, split_spectrum
-from multimix.ising import curie_weiss, dump_ising_model, exact_distribution, load_ising_model
+from multimix.ising import curie_weiss, dump_ising_model, load_ising_model
 from multimix.langevin import (
     GaussianComponent,
     MixtureModel,
@@ -34,7 +31,6 @@ from multimix.langevin import (
 )
 from multimix.measures import MAX_STATES, _logsumexp, _softmax
 from multimix.rng import make_rng
-from multimix.spectral import build_glauber_generator, dump_spectrum, eigendecompose, load_spectrum
 
 
 def random_distribution(rng, m: int) -> FiniteDistribution:
@@ -61,6 +57,10 @@ def test_distribution_validation():
         FiniteDistribution(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         FiniteDistribution(np.array([]))
+    assert np.array_equal(FiniteDistribution.delta(3, 4).probs, [0.0, 0.0, 0.0, 1.0])
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match="outside"):
+            FiniteDistribution.delta(index, 4)
     d = FiniteDistribution(np.array([0.25, 0.75]))
     assert d.m == 2
     assert not d.probs.flags.writeable
@@ -272,56 +272,6 @@ def test_empirical_tv_projection_and_errors():
         empirical_tv_continuous(a, b, direction=[0, 0, 0])
 
 
-def test_serialization_round_trip():
-    rng = make_rng(912)
-    d = random_distribution(rng, 17)
-    back = load_distribution(dump_distribution(d))
-    assert back.m == d.m
-    assert np.array_equal(back.probs, d.probs)
-    # sparse vectors keep their exact zeros
-    delta = FiniteDistribution.delta(3, 32)
-    text = dump_distribution(delta)
-    assert text.splitlines()[0] == "finite-dist v1 32"
-    assert len(text.splitlines()) == 2
-    assert np.array_equal(load_distribution(text).probs, delta.probs)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    weights=arrays(
-        np.float64,
-        st.integers(1, 64),
-        elements=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
-    )
-)
-def test_serialization_round_trip_property(weights):
-    assume(weights.sum() > 0.0)
-    d = FiniteDistribution(weights / weights.sum())
-    back = load_distribution(dump_distribution(d))
-    assert back.probs.tobytes() == d.probs.tobytes()
-
-
-def test_serialization_parse_errors():
-    with pytest.raises(ParseError):
-        load_distribution("")
-    with pytest.raises(ParseError):
-        load_distribution("finite-dist v2 4\n0 1.0\n")
-    with pytest.raises(ParseError):
-        load_distribution("finite-dist v1 4\n0 1.0 extra\n")
-    with pytest.raises(ParseError):
-        load_distribution("finite-dist v1 4\n9 1.0\n")
-    with pytest.raises(ParseError):
-        load_distribution("finite-dist v1 4\n0 0.9\n")  # mass missing
-    with pytest.raises(CapacityError):
-        load_distribution(f"finite-dist v1 {(1 << 20) + 1}\n0 1.0\n")
-
-
-def test_load_distribution_rejects_a_repeated_state():
-    # the second line would otherwise overwrite the first and the sum still checks out
-    with pytest.raises(ParseError, match="twice"):
-        load_distribution("finite-dist v1 2\n0 0.5\n0 0.5\n1 0.5\n")
-
-
 # ---------------------------------------------------------------------------
 # every versioned format: a mutated dump loads or fails as a ParseError
 
@@ -330,7 +280,6 @@ def test_load_distribution_rejects_a_repeated_state():
 def versioned_dumps() -> dict:
     """One valid dump per versioned text format, with the loader that reads it."""
     model = curie_weiss(3, 1.5)
-    pi = exact_distribution(model)
     cov = np.array([[2.0, 0.3], [0.3, 0.5]])
     mixture = MixtureModel(
         [0.4, 0.6],
@@ -341,12 +290,7 @@ def versioned_dumps() -> dict:
     )
     net = build_field_net(split_spectrum(model, 2.0), 1.0, 3, mesh=1.0)
     return {
-        "finite-dist": (dump_distribution(pi), load_distribution),
         "ising": (dump_ising_model(model), load_ising_model),
-        "spectrum": (
-            dump_spectrum(eigendecompose(build_glauber_generator(pi), 3)),
-            lambda text: load_spectrum(text, pi),
-        ),
         "fieldnet": (dump_field_net(net), load_field_net),
         "mixture": (dump_mixture(mixture), load_mixture),
     }
@@ -357,7 +301,7 @@ FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "-1", "0", "x", "", "gaussian", "s
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    fmt=st.sampled_from(["finite-dist", "ising", "spectrum", "fieldnet", "mixture"]),
+    fmt=st.sampled_from(["ising", "fieldnet", "mixture"]),
     data=st.data(),
 )
 def test_loaders_fail_only_with_parse_errors(fmt, data):

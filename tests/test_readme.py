@@ -23,3 +23,13 @@ def test_readme_quick_start_imports_resolve():
     assert "row_norms" in names and "curie_weiss" in names
     missing = [n for n in names if not hasattr(multimix, n)]
     assert missing == []
+
+
+def test_readme_names_exactly_the_versioned_formats():
+    # a header a dump writes is `f"<tag> v1 ...`; its loader reads the same tag
+    sources = "\n".join(p.read_text() for p in Path(multimix.__file__).parent.glob("*.py"))
+    written = set(re.findall(r'f"([a-z][\w-]*) v1 ', sources))
+    read = set(re.findall(r'_header\(text, "([a-z][\w-]*)"', sources))
+    named = set(re.findall(r"`([a-z][\w-]*) v1`", README.read_text()))
+    assert "ising" in named
+    assert written == read == named

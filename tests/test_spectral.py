@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 from multimix import (
     CapacityError,
     FiniteDistribution,
-    ParseError,
     SampleSet,
     chi2_divergence,
     tv_distance,
@@ -39,11 +38,9 @@ from multimix.spectral import (
     balance_statistic,
     build_glauber_generator,
     chi2_trajectory,
-    dump_spectrum,
     eigendecompose,
     evolve_distribution,
     higher_order_gap,
-    load_spectrum,
     verify_balance_contraction,
 )
 
@@ -747,39 +744,3 @@ def test_degenerate_block_rotation_invariance():
     ta = chi2_trajectory(spec, mu0, [0.4, 1.7])
     tb = chi2_trajectory(rotated, mu0, [0.4, 1.7])
     assert np.abs(ta - tb).max() <= 1e-10
-
-
-def test_spectrum_serialization_round_trip():
-    gen = build_glauber_generator(exact_distribution(curie_weiss(5, 1.0)))
-    spec = eigendecompose(gen, k_max=7)
-    text = dump_spectrum(spec)
-    assert text.splitlines()[0] == "spectrum v1 32 7"
-    back = load_spectrum(text, gen.pi)
-    assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-    assert np.array_equal(back.eigenfunctions, spec.eigenfunctions)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(law=full_support_laws(), data=st.data())
-def test_spectrum_round_trip_property(law, data):
-    pi, q, _ = law
-    k = data.draw(st.integers(1, pi.m), label="k")
-    spec = eigendecompose(build_glauber_generator(pi, q), k)
-    back = load_spectrum(dump_spectrum(spec), pi)
-    assert back.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-    assert back.eigenfunctions.tobytes() == spec.eigenfunctions.tobytes()
-
-
-def test_spectrum_parse_errors():
-    gen = build_glauber_generator(FiniteDistribution.uniform(4))
-    spec = eigendecompose(gen)
-    text = dump_spectrum(spec)
-    with pytest.raises(ParseError):
-        load_spectrum("", gen.pi)
-    with pytest.raises(ParseError):
-        load_spectrum(text.replace("spectrum v1", "spectrum v9"), gen.pi)
-    with pytest.raises(ParseError):
-        load_spectrum(text, FiniteDistribution.uniform(8))
-    truncated = "\n".join(text.splitlines()[:-1]) + "\n"
-    with pytest.raises(ParseError):
-        load_spectrum(truncated, gen.pi)
