@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp, softmax
 
 from multimix import (
@@ -29,7 +30,7 @@ from multimix.langevin import (
     dump_mixture,
     load_mixture,
 )
-from multimix.measures import MAX_STATES, _logsumexp, _softmax
+from multimix.measures import MAX_STATES, _header, _logsumexp, _numbers, _row, _softmax
 from multimix.rng import make_rng
 
 
@@ -270,6 +271,60 @@ def test_empirical_tv_projection_and_errors():
         empirical_tv_continuous(a, b, bins=1, direction=[1, 0, 0])
     with pytest.raises(ValueError):
         empirical_tv_continuous(a, b, direction=[0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the shared header reader and row writer/reader behind every versioned format
+
+
+def test_serialization_round_trip():
+    rng = make_rng(912)
+    probs = random_distribution(rng, 17).probs
+    assert np.array_equal(_numbers(_row(probs), 17), probs)
+    # exact and signed zeros, subnormals and extreme magnitudes survive the text
+    edge = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, -1.7976931348623157e308, 0.1])
+    assert _numbers(_row(edge), edge.size).tobytes() == edge.tobytes()
+    text = f"demo v1 32 7\n\n  {_row(probs[:2])}  \n{_row(edge)}\n"
+    fields, body = _header(text, "demo", 2, "demo")
+    assert fields == [32, 7]
+    assert body == [_row(probs[:2]), _row(edge)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    values=arrays(
+        np.float64,
+        st.integers(1, 64),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_serialization_round_trip_property(values):
+    assert _numbers(_row(values), values.size).tobytes() == values.tobytes()
+
+
+def test_serialization_parse_errors():
+    for text, match in [
+        ("", "empty demo file"),
+        (" \n\n", "empty demo file"),
+        ("demo v2 4\n", "bad demo header"),
+        ("other v1 4\n", "bad demo header"),
+        ("demo v1\n", "bad demo header"),
+        ("demo v1 4 5\n", "bad demo header"),
+        ("demo v1 -4\n", "bad demo header"),
+        ("demo v1 4.0\n", "bad demo header"),
+    ]:
+        with pytest.raises(ParseError, match=match):
+            _header(text, "demo", 1, "demo")
+    for line, count, match in [
+        ("1.0 2.0 3.0", 2, "expected 2 numbers, got 3"),
+        ("", 2, "expected 2 numbers, got 0"),
+        ("1.0 x", None, "bad number"),
+        ("1.0 nan", None, "non-finite"),
+        ("-inf", 1, "non-finite"),
+        ("1e400", None, "non-finite"),
+    ]:
+        with pytest.raises(ParseError, match=match):
+            _numbers(line, count)
 
 
 # ---------------------------------------------------------------------------
