@@ -1,0 +1,8 @@
+"""``python -m multimix``: the ``multimix`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,6 +30,8 @@ from .measures import FiniteDistribution, _header, _logsumexp, _numbers, _row, _
 MAX_EXACT_STATES = 1 << 14
 MAX_FIELDS = 1_000_000
 MAX_NET_RANK = 3
+# entries of one block of per-state work: states x quadrature nodes
+_BLOCK_ENTRIES = 1 << 17
 
 # Multiplicative sandwich accepted for the gap transfer: dpi2/dpi within
 # [e^-3, e^3] on every state, hence a factor e^6 between the two Dirichlet
@@ -229,32 +231,63 @@ def _net_radius(split: SpectralSplit, scale: float) -> float:
     )
 
 
-def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
-    """Grid coordinates, normalized weights, and the log of the raw net mass."""
+def _cell_log_masses(split: SpectralSplit, coords: np.ndarray, mesh: float) -> np.ndarray:
+    """Log mass of each grid cell: the enumerated partition function of the
+    remainder model against the Gaussian factor, integrated by the midpoint
+    rule with three sub-nodes per direction."""
     r = split.r
-    steps = math.floor(radius / mesh)
-    if (2 * steps + 1) ** r > 8 * MAX_FIELDS:
-        raise CapacityError("field grid exceeds the net capacity")
-    axis = mesh * np.arange(-steps, steps + 1)
-    grids = np.meshgrid(*([axis] * r), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    coords = coords[np.linalg.norm(coords, axis=1) <= radius]
-    if coords.shape[0] > MAX_FIELDS:
-        raise CapacityError(f"{coords.shape[0]} fields exceed the {MAX_FIELDS} cap")
     _, base, proj = split.enumeration
-    # midpoint quadrature over each cell, three sub-nodes per direction
     offsets = np.meshgrid(*([np.array([-mesh / 3.0, 0.0, mesh / 3.0])] * r), indexing="ij")
     offsets = np.stack([o.ravel() for o in offsets], axis=1)
     nodes = (coords[:, None, :] + offsets[None, :, :]).reshape(-1, r)
     log_gauss = -0.5 * (nodes * nodes) @ (1.0 / split.eigenvalues)
-    log_z = np.empty(nodes.shape[0])
-    for lo in range(0, nodes.shape[0], 4096):
-        z = proj @ nodes[lo : lo + 4096].T
+    # Blocks of a multiple of 8 nodes within the entry budget, the last one
+    # padded with zero nodes: OpenBLAS rounds a tail of 4 to 7 product
+    # columns differently, and numpy sums a one-column block pairwise, so
+    # whole blocks keep each node's value independent of the block size.
+    width = max(8, _BLOCK_ENTRIES // base.size // 8 * 8)
+    padded = np.zeros((-(-nodes.shape[0] // 8) * 8, r))
+    padded[: nodes.shape[0]] = nodes
+    log_z = np.empty(padded.shape[0])
+    for lo in range(0, padded.shape[0], width):
+        z = proj @ padded[lo : lo + width].T
         z += base[:, None]
-        log_z[lo : lo + 4096] = _logsumexp(z, axis=0, overwrite=True)
-    per_node = (log_z + log_gauss).reshape(coords.shape[0], -1)
-    log_cells = _logsumexp(per_node, axis=1, overwrite=True) + r * math.log(mesh / 3.0)
-    return coords, _softmax(log_cells), float(_logsumexp(log_cells))
+        log_z[lo : lo + width] = _logsumexp(z, axis=0, overwrite=True)
+    per_node = (log_z[: nodes.shape[0]] + log_gauss).reshape(coords.shape[0], -1)
+    return _logsumexp(per_node, axis=1, overwrite=True) + r * math.log(mesh / 3.0)
+
+
+def _grid_weights(split: SpectralSplit, radius: float, mesh: float, known=None):
+    """Grid coordinates, normalized weights, the log of the raw net mass and
+    the per-cell log masses of the mesh grid cells within the radius.
+
+    `known` is the (radius, per-cell log masses) of a smaller grid at the
+    same mesh, whose cells are a subset of this one: they keep their masses
+    and only the cells outside it are integrated. Cells stay in grid order,
+    so the weights are the same as from scratch.
+    """
+    r = split.r
+    steps = math.floor(radius / mesh)
+    if (2 * steps + 1) ** r > 8 * MAX_FIELDS:
+        raise CapacityError("field grid exceeds the net capacity")
+    grids = np.meshgrid(*([np.arange(-steps, steps + 1)] * r), indexing="ij")
+    ticks = np.stack([g.ravel() for g in grids], axis=1)
+    coords = mesh * ticks
+    norms = np.linalg.norm(coords, axis=1)
+    inside = norms <= radius
+    count = int(inside.sum())
+    if count > MAX_FIELDS:
+        raise CapacityError(f"{count} fields exceed the {MAX_FIELDS} cap")
+    log_cells = np.empty(coords.shape[0])
+    fresh = inside
+    if known is not None:
+        old_radius, old_cells = known
+        old = (np.abs(ticks).max(axis=1) <= math.floor(old_radius / mesh)) & (norms <= old_radius)
+        log_cells[old] = old_cells
+        fresh = inside & ~old
+    log_cells[fresh] = _cell_log_masses(split, coords[fresh], mesh)
+    coords, log_cells = coords[inside], log_cells[inside]
+    return coords, _softmax(log_cells), float(_logsumexp(log_cells)), log_cells
 
 
 def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: float) -> float:
@@ -286,7 +319,9 @@ def build_field_net(
     doubles (at most six times) until the truncated mass is provably below a
     quarter of the kept mass. Cell weights integrate the enumerated partition
     function of the remainder model against the Gaussian factor by midpoint
-    quadrature with three sub-nodes per grid direction.
+    quadrature with three sub-nodes per grid direction. At a fixed mesh the
+    grid at 2R contains the grid at R, so a doubling integrates only the
+    cells it adds.
     """
     if support_radius <= 0.0 or n < 1:
         raise ValueError("need a positive support radius and site count")
@@ -302,12 +337,14 @@ def build_field_net(
             fields=np.zeros((1, split.dim)), weights=np.ones(1), radius=0.0, mesh=mesh
         )
     radius = _net_radius(split, scale)
+    known = None
     for _ in range(7):
-        coords, weights, log_bulk = _grid_weights(split, radius, mesh)
+        coords, weights, log_bulk, log_cells = _grid_weights(split, radius, mesh, known)
         if _tail_to_bulk(split, radius, scale, log_bulk) < 0.25:
             return FieldNet(
                 fields=coords @ split.basis.T, weights=weights, radius=radius, mesh=mesh
             )
+        known = (radius, log_cells)
         radius *= 2.0
     raise ValueError("net radius search did not confine the auxiliary field mass")
 

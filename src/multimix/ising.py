@@ -23,7 +23,15 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import CapacityError, ParseError
-from .measures import MAX_STATES, FiniteDistribution, _header, _numbers, _row, _softmax
+from .measures import (
+    MAX_STATES,
+    FiniteDistribution,
+    _check_state_count,
+    _header,
+    _numbers,
+    _row,
+    _softmax,
+)
 from .rng import make_rng
 
 
@@ -72,18 +80,22 @@ class IsingModel:
 
     def _tilts(self, fields) -> tuple["IsingModel", ...]:
         """One model per row h of `fields`: this coupling, shared without a
-        second check, with the field b + h."""
+        second check, with the field b + h. The tilts also share the pair
+        energies (1/2) x'Jx of their laws, computed by the first one that
+        needs them."""
         b = self.b + np.asarray(fields, dtype=float)
         if b.ndim != 2 or b.shape[1] != self.n:
             raise ValueError(f"field rows have shape {b.shape}, expected (k, {self.n})")
         if not np.all(np.isfinite(b)):
             raise ValueError("couplings and fields must be finite")
         b.setflags(write=False)
+        pairs: dict = {}
         out = []
         for row in b:
             model = object.__new__(IsingModel)
             object.__setattr__(model, "J", self.J)
             object.__setattr__(model, "b", row)
+            object.__setattr__(model, "_pairs", pairs)
             out.append(model)
         return tuple(out)
 
@@ -109,28 +121,44 @@ class PottsModel:
 # state indexing
 
 
-_CACHED_STATES = 1 << 14  # 1.8 MB at n = 14, the largest cached enumeration
+_CACHED_STATES = 1 << 14  # the largest state count a shared structure is kept for
+_cache_lock = threading.RLock()
 _states_cache: dict[int, np.ndarray] = {}
-_states_lock = threading.Lock()
+
+
+def _shared(cache: dict, key, states: int, build):
+    """``build()`` once per key, kept in `cache` and shared between callers
+    and threads, when the structure spans at most 2^14 states; a larger one
+    is built afresh on every call. `build` returns read-only arrays.
+
+    Builds run under one reentrant lock, so each key is built once and a
+    build may itself look up another shared structure.
+    """
+    if states > _CACHED_STATES:
+        return build()
+    with _cache_lock:
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = build()
+    return value
 
 
 def states_matrix(n: int) -> np.ndarray:
-    """All 2^n spin configurations as a (2^n, n) +-1 matrix, row x = state x.
+    """All 2^n spin configurations as a read-only (2^n, n) +-1 matrix, row
+    x = state x.
 
-    Up to 2^14 states the matrix is built once per n and shared read-only
-    between callers and threads.
+    Up to 2^14 states (1.8 MB at n = 14) the matrix is built once per n and
+    shared between callers and threads.
     """
     if n < 1 or 1 << n > MAX_STATES:
         raise CapacityError(f"cannot enumerate {n} spins: need n >= 1 and 2^n <= {MAX_STATES}")
-    if 1 << n > _CACHED_STATES:
-        return index_to_spins(np.arange(1 << n), n)
-    with _states_lock:
-        S = _states_cache.get(n)
-        if S is None:
-            S = index_to_spins(np.arange(1 << n), n)
-            S.setflags(write=False)
-            _states_cache[n] = S
-    return S
+
+    def build():
+        S = index_to_spins(np.arange(1 << n), n)
+        S.setflags(write=False)
+        return S
+
+    return _shared(_states_cache, n, 1 << n, build)
 
 
 def spins_to_index(x):
@@ -162,10 +190,21 @@ def potts_digits(n: int, q: int) -> np.ndarray:
 # exact quantities
 
 
+def _pair_energies(S: np.ndarray, J: np.ndarray) -> np.ndarray:
+    pairs = 0.5 * np.einsum("xi,xi->x", S @ J, S)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def ising_energy_vector(model: IsingModel) -> np.ndarray:
     """log pi(x) + log Z for every state, i.e. (1/2) x'Jx + b'x."""
     S = states_matrix(model.n)
-    return 0.5 * np.einsum("xi,xi->x", S @ model.J, S) + S @ model.b
+    shared = getattr(model, "_pairs", None)
+    if shared is None:
+        pairs = _pair_energies(S, model.J)
+    else:
+        pairs = _shared(shared, "pairs", S.shape[0], lambda: _pair_energies(S, model.J))
+    return pairs + S @ model.b
 
 
 def potts_energy_vector(model: PottsModel) -> np.ndarray:
@@ -348,8 +387,7 @@ def empirical_distribution(X, n: int) -> FiniteDistribution:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"sample matrix has shape {X.shape}, expected (count, {n})")
-    if 1 << n > MAX_STATES:
-        raise CapacityError(f"{1 << n} states exceed the cap of {MAX_STATES}")
+    _check_state_count(1 << n)
     if not np.all(np.abs(X) == 1.0):
         raise ValueError("samples must be +-1 valued")
     counts = np.bincount(spins_to_index(X), minlength=1 << n)

@@ -106,11 +106,19 @@ class GaussianComponent:
         return self.mean
 
     def potential(self, X: np.ndarray) -> np.ndarray:
-        y = np.dot(X - self.mean, self._whiten)
-        return 0.5 * np.einsum("nd,nd->n", y, y) + self._log_norm
+        return self._potential_at(X - self.mean)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         return np.dot(X - self.mean, self.precision)
+
+    def _potential_at(self, z: np.ndarray) -> np.ndarray:
+        y = np.dot(z, self._whiten)
+        return 0.5 * np.einsum("nd,nd->n", y, y) + self._log_norm
+
+    def _potential_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Potential and gradient at X from one offset X - mean."""
+        z = X - self.mean
+        return self._potential_at(z), np.dot(z, self.precision)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # np.dot, not @: matmul takes a non-BLAS loop for (N, 1) x (1, 1)
@@ -191,16 +199,25 @@ class SoftplusComponent:
         return self.center.size
 
     def potential(self, X: np.ndarray) -> np.ndarray:
-        z = X - self.center
-        quad_part = self._base.potential(X) - self._base._log_norm
+        return self._potential_at(X - self.center)
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        return self._grad_at(X - self.center)
+
+    def _potential_at(self, z: np.ndarray) -> np.ndarray:
+        quad_part = self._base._potential_at(z) - self._base._log_norm
         ramp = np.logaddexp(0.0, z @ self.tilt)
         return quad_part + self.strength * ramp + self._log_norm
 
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        z = X - self.center
+    def _grad_at(self, z: np.ndarray) -> np.ndarray:
         return np.dot(z, self.precision) + self.strength * expit(z @ self.tilt)[
             :, None
         ] * self.tilt
+
+    def _potential_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Potential and gradient at X from one offset X - center."""
+        z = X - self.center
+        return self._potential_at(z), self._grad_at(z)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         t = np.interp(rng.random(count), self._cdf, self._cdf_grid)
@@ -268,16 +285,17 @@ class MixtureModel:
         """Scale of the largest component gradient a stationary draw sees."""
         return math.sqrt(self.beta * self.kappa * self.d) + self.beta * self.separation
 
-    def _component_logs(self, X: np.ndarray) -> np.ndarray:
-        """log(weight_j) - potential_j(X), one row per component."""
-        out = np.empty((self.k, X.shape[0]))
-        for row, log_w, c in zip(out, self._log_weights, self.components):
-            np.subtract(log_w, c.potential(X), out=row)
+    def _component_logs(self, potentials) -> np.ndarray:
+        """log(weight_j) - potential_j, one row per component."""
+        out = np.empty((self.k, potentials[0].size))
+        for row, log_w, pot in zip(out, self._log_weights, potentials):
+            np.subtract(log_w, pot, out=row)
         return out
 
     def log_density(self, x) -> np.ndarray | float:
         X, single = _as_batch(x, self.d)
-        out = _logsumexp(self._component_logs(X), axis=0, overwrite=True)
+        logs = self._component_logs([c.potential(X) for c in self.components])
+        out = _logsumexp(logs, axis=0, overwrite=True)
         return float(out[0]) if single else out
 
     def potential(self, x) -> np.ndarray | float:
@@ -290,14 +308,15 @@ class MixtureModel:
         if self.k == 1:
             out = -self.components[0].grad(X)
         else:
+            potentials, grads = zip(*(c._potential_and_grad(X) for c in self.components))
             # posterior weights by an in-place softmax over the component axis
-            post = self._component_logs(X)
+            post = self._component_logs(potentials)
             post -= post.max(axis=0)
             np.exp(post, out=post)
             post /= post.sum(axis=0)
-            out = -post[0][:, None] * self.components[0].grad(X)
-            for p, c in zip(post[1:], self.components[1:]):
-                out -= p[:, None] * c.grad(X)
+            out = -post[0][:, None] * grads[0]
+            for p, g in zip(post[1:], grads[1:]):
+                out -= p[:, None] * g
         return out[0] if single else out
 
     def max_gradient(self, x) -> np.ndarray | float:

@@ -73,6 +73,15 @@ def _laws(p: np.ndarray) -> bool:
     )
 
 
+def _check_state_count(m: int) -> None:
+    """Refuse a state count below one or above the cap before anything of
+    that size is allocated."""
+    if m < 1:
+        raise ValueError(f"need at least one state, got {m!r}")
+    if m > MAX_STATES:
+        raise CapacityError(f"{m} states exceed the cap of {MAX_STATES}")
+
+
 def _check_law(p: np.ndarray) -> None:
     """Raise for the first check one probability vector fails, in order."""
     if p.ndim != 1:
@@ -141,6 +150,7 @@ class FiniteDistribution:
     @classmethod
     def delta(cls, index: int, m: int) -> "FiniteDistribution":
         """Point mass on state `index`, one of ``0, ..., m-1``."""
+        _check_state_count(m)
         if not 0 <= index < m:
             raise ValueError(f"state index {index!r} outside 0..{m - 1}")
         p = np.zeros(m)
@@ -149,6 +159,7 @@ class FiniteDistribution:
 
     @classmethod
     def uniform(cls, m: int) -> "FiniteDistribution":
+        _check_state_count(m)
         return cls(np.full(m, 1.0 / m))
 
 

@@ -24,9 +24,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import CapacityError
+from .ising import _shared
 from .measures import FiniteDistribution, SampleSet, _readonly
 
 MAX_DENSE_STATES = 1 << 14
+
+# law-independent structure, built once per (n, q) or n by ``ising._shared``
+_patterns: dict = {}
+_cubes: dict = {}
+_harmonics: dict = {}
 
 
 def _as_distribution(mu0, m: int) -> FiniteDistribution:
@@ -70,7 +76,12 @@ class GeneratorMatrix:
         A.eliminate_zeros()
         if not np.all(np.isfinite(A.data)):
             raise ValueError("generator entries must be finite")
-        asym = abs(A - A.T).max()
+        T = A.T.tocsr()
+        if np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices):
+            # a symmetric pattern: the difference lives on the stored entries
+            asym = np.abs(A.data - T.data).max(initial=0.0)
+        else:
+            asym = abs(A - T).max()
         if not asym <= 1e-10:
             raise ValueError(f"asymmetry {asym!r} exceeds 1e-10")
         rows = np.repeat(np.arange(m), np.diff(A.indptr))
@@ -221,7 +232,8 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
     States are indexed in base q, digit i giving the value of site i; for
     q = 2 that is the package spin convention (bit i is spin i). The CSR
     matrix is filled row by row from the per-site neighbour maps, each row
-    holding its diagonal and its n (q - 1) neighbours.
+    holding its diagonal and its n (q - 1) neighbours; that sparsity
+    structure depends on (n, q) only and is built once per pair.
 
     Parameters
     ----------
@@ -254,37 +266,49 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
         raise CapacityError(f"{m} states exceed the dense cap of {MAX_DENSE_STATES}")
     if pi.probs.min() <= 0.0:
         raise ValueError("stationary law must have full support (zero entries found)")
+    nbs, gather, indices, indptr = _heat_bath_pattern(n, q)
     p = pi.probs
     sq = np.sqrt(p)
-    idx = np.arange(m)
-    shifts = np.arange(1, q)[:, None]
     # row 0 of the fill is the diagonal, rows 1 + i (q - 1) onwards hold the
     # q - 1 neighbours across site i; each state is one column
-    width = 1 + n * (q - 1)
-    cols = np.empty((width, m), dtype=np.int64)
-    vals = np.empty((width, m))
+    vals = np.empty((1 + n * (q - 1), m))
     diag = np.zeros(m)
-    for i in range(n):
-        stride = q**i
-        digit = (idx // stride) % q
-        # row s holds each state's neighbour with site i moved on by s + 1
-        nb = idx + ((digit + shifts) % q - digit) * stride
+    for i, nb in enumerate(nbs):
         total = p + p[nb].sum(axis=0)
-        block = slice(1 + i * (q - 1), 1 + (i + 1) * (q - 1))
-        cols[block] = nb
-        vals[block] = -sq * sq[nb] / total
+        vals[1 + i * (q - 1) : 1 + (i + 1) * (q - 1)] = -sq * sq[nb] / total
         diag += (p[nb] / total).sum(axis=0)
-    cols[0], vals[0] = idx, diag
-    order = np.argsort(cols, axis=0)
-    A = scipy.sparse.csr_array(
-        (
-            np.take_along_axis(vals, order, axis=0).T.ravel(),
-            np.take_along_axis(cols, order, axis=0).T.ravel(),
-            np.arange(0, m * width + 1, width),
-        ),
-        shape=(m, m),
-    )
+    vals[0] = diag
+    A = scipy.sparse.csr_array((vals.ravel()[gather], indices, indptr), shape=(m, m))
     return GeneratorMatrix(A=A, pi=pi)
+
+
+def _heat_bath_pattern(n: int, q: int):
+    """Sparsity structure of the heat-bath generator on q^n states, which
+    depends on (n, q) only, built once per pair: per site i the (q - 1, m)
+    map from each state to its neighbours with site i moved on by 1..q-1,
+    the gather that takes the fill (diagonal row, then the neighbour rows
+    site by site, one column per state) to row-major CSR data with sorted
+    columns, and the CSR indices and indptr."""
+
+    def build():
+        m = q**n
+        idx = np.arange(m)
+        shifts = np.arange(1, q)[:, None]
+        cols = np.empty((1 + n * (q - 1), m), dtype=np.int64)
+        cols[0] = idx
+        for i in range(n):
+            digit = (idx // q**i) % q
+            nb = idx + ((digit + shifts) % q - digit) * q**i
+            cols[1 + i * (q - 1) : 1 + (i + 1) * (q - 1)] = nb
+        gather = (np.argsort(cols, axis=0) * m + idx).T.ravel()
+        indices = cols.ravel()[gather]
+        indptr = np.arange(0, cols.size + 1, cols.shape[0])
+        for arr in (cols, gather, indices, indptr):
+            arr.setflags(write=False)
+        nbs = tuple(cols[1 + i * (q - 1) : 1 + (i + 1) * (q - 1)] for i in range(n))
+        return nbs, gather, indices, indptr
+
+    return _shared(_patterns, (n, q), q**n, build)
 
 
 def _reversal_symmetric(A: scipy.sparse.csr_array) -> bool:
@@ -309,6 +333,58 @@ def _popcount(x: np.ndarray, n: int) -> np.ndarray:
     return count
 
 
+def _cube(n: int):
+    """Structure of the n-cube that the sector route needs, built once per n.
+
+    Returns the level (up-spin count) of each state; the raising operator U
+    as CSR, (U f)(x) = sum of f(x - i) over i in x; and, for each entry of
+    the generator pattern (x and its n neighbours, sorted), its slot in the
+    vector [a_0 .. a_{n-1}, d_0 .. d_n] of level entries (see
+    ``_exchangeable_levels``).
+    """
+
+    def build():
+        m = 1 << n
+        idx = np.arange(m)
+        level = _popcount(idx, n)
+        rows, bit = np.nonzero((idx[:, None] >> np.arange(n)) & 1)
+        up = scipy.sparse.csr_array(
+            (np.ones(rows.size), rows ^ (1 << bit), np.append(0, np.cumsum(level))), shape=(m, m)
+        )
+        cols = _heat_bath_pattern(n, 2)[2].reshape(m, n + 1)
+        # an edge between levels p and p + 1 reads a_p, the diagonal d_p
+        slot = np.minimum(level[:, None], level[cols])
+        slot[cols == idx[:, None]] = n + level
+        for arr in (level, up.data, up.indices, up.indptr, slot):
+            arr.setflags(write=False)
+        return level, up, slot
+
+    return _shared(_cubes, n, 1 << n, build)
+
+
+def _harmonic_basis(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states of level j and an orthonormal basis of the weight-j
+    harmonics on them, built once per (n, j).
+
+    The basis is the kernel of D'D for the map D from j-sets to the
+    (j-1)-sets inside them: D'D is j on the diagonal and 1 where two j-sets
+    share j - 1 elements, and its other eigenvalues are at least n - 2j + 2.
+    The bottom eigenvectors of that Gram matrix span the kernel, so no dense
+    solve of order m is needed.
+    """
+
+    def build():
+        base = np.flatnonzero(_cube(n)[0] == j)
+        share = _popcount(base[:, None] & base[None, :], n) == j - 1
+        mult = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
+        phi = scipy.linalg.eigh(share + j * np.eye(base.size), subset_by_index=(0, mult - 1))[1]
+        base.setflags(write=False)
+        phi.setflags(write=False)
+        return base, phi
+
+    return _shared(_harmonics, (n, j), 1 << n, build)
+
+
 def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray] | None:
     """Level entries (d_p, a_p) of an exchangeable nearest-neighbour A, or None.
 
@@ -324,7 +400,8 @@ def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndar
     ||A - B||_2 <= (n + 1) tol: the sector eigenvalues are A's within that
     backward error (Weyl), and the sector eigenvectors' residuals on A stay
     below it, far inside the 1e-7 residual check. O(nnz); the diagonal is
-    tested before the pattern, which rejects most other laws early.
+    tested before the pattern, which rejects most other laws early. A is in
+    canonical CSR form, as every GeneratorMatrix holds it.
     """
     m = A.shape[0]
     n = m.bit_length() - 1
@@ -333,25 +410,20 @@ def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndar
     ):
         return None
     tol = 1e-12 * np.abs(A.data).max()
-    idx = np.arange(m)
-    level = _popcount(idx, n)
+    level, _, slot = _cube(n)
     reps = (1 << np.arange(n + 1)) - 1
     diag = A.diagonal()
     d = diag[reps]
     if not np.abs(diag - d[level]).max() <= tol:
         return None
-    # canonical rows hold n + 1 distinct columns, so they are exactly x and
-    # its n neighbours when each differs from x in at most one bit
-    cols = A.indices.reshape(m, n + 1)
-    flip = cols ^ idx[:, None]
-    if np.any(flip & (flip - 1)):
+    # canonical rows hold n + 1 distinct sorted columns, so they are exactly
+    # x and its n neighbours when they match the heat-bath pattern
+    if not np.array_equal(A.indices, _heat_bath_pattern(n, 2)[2]):
         return None
     data = A.data.reshape(m, n + 1)
     # row r_p holds its p lower neighbours, itself, then r_{p+1} = r_p + 2^p
     a = data[reps[:-1], np.arange(1, n + 1)]
-    pair = np.minimum(level[:, None], level[cols])
-    expected = np.where(cols == idx[:, None], d[level][:, None], np.append(a, 0.0)[pair])
-    if not np.abs(data - expected).max() <= tol:
+    if not np.abs(data - np.concatenate([a, d])[slot]).max() <= tol:
         return None
     return d, a
 
@@ -371,45 +443,36 @@ def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     each block eigenvalue. A stable sort merges all of them, ties broken by
     (j, block eigenvector, harmonic index). Only the selected sectors are
     lifted: v(x) = y_{|x|-j} U^t phi(x) / ||U^t phi||, with an orthonormal
-    harmonic basis phi from the kernel of U's adjoint on j-sets (the bottom
-    eigenvectors of its Gram matrix, so no dense solve of order m) and
+    harmonic basis phi (see ``_harmonic_basis``) and
     ||U^t phi||^2 = prod_{s<t} (s+1)(n-2j-s).
     """
     n = a.size
     sectors, w_all, key = [], [], []
     for j in range(n // 2 + 1):
         p = np.arange(j, n - j)
-        w, y = scipy.linalg.eigh_tridiagonal(
-            d[j : n - j + 1], a[p] * np.sqrt((p - j + 1.0) * (n - j - p))
-        )
+        off = a[p] * np.sqrt((p - j + 1.0) * (n - j - p))
+        # LAPACK stevd, which eigh_tridiagonal calls after checks that cost
+        # more than these tiny solves; its wrapper wants a nonempty off-diagonal
+        w, y, info = scipy.linalg.lapack.dstevd(d[j : n - j + 1], off if off.size else [0.0])
+        if info:
+            raise np.linalg.LinAlgError(f"stevd failed on total-spin sector {j} (info {info})")
         mult = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
         b, h = np.divmod(np.arange(w.size * mult), mult)
-        sectors.append((y, mult))
+        sectors.append(y)
         w_all.append(w[b])
         key.append(np.column_stack([np.full(b.size, j), b, h]))
     w_all, key = np.concatenate(w_all), np.concatenate(key)
     order = np.argsort(w_all, kind="stable")[:k]
     m = 1 << n
-    idx = np.arange(m)
-    level = _popcount(idx, n)
-    rows, bit = np.nonzero((idx[:, None] >> np.arange(n)) & 1)
-    up = scipy.sparse.csr_array(
-        (np.ones(rows.size), rows ^ (1 << bit), np.append(0, np.cumsum(level))), shape=(m, m)
-    )
+    level, up, _ = _cube(n)
     # built transposed, one row per eigenvector, so each sector's rows are a
     # contiguous gather; the transpose hands back column-major vectors
     vt = np.empty((order.size, m))
     for j in np.unique(key[order, 0]):
         picked = np.flatnonzero(key[order, 0] == j)
         b, h = key[order[picked], 1], key[order[picked], 2]
-        y, mult = sectors[j]
-        base = np.flatnonzero(level == j)
-        # D'D for the map D from j-sets to the (j-1)-sets inside them: j on
-        # the diagonal, 1 where two j-sets share j - 1 elements. Its kernel
-        # is the harmonics; its other eigenvalues are at least n - 2j + 2.
-        share = _popcount(base[:, None] & base[None, :], n) == j - 1
-        gram = share + j * np.eye(base.size)
-        phi = scipy.linalg.eigh(gram, subset_by_index=(0, mult - 1))[1]
+        y = sectors[j]
+        base, phi = _harmonic_basis(n, int(j))
         harmonics, which = np.unique(h, return_inverse=True)
         lift = np.zeros((m, harmonics.size))
         lift[base] = phi[:, harmonics]
@@ -466,7 +529,7 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
        n-cube (pi depends only on the number of up spins, as for Curie-Weiss,
        its Hubbard-Stratonovich components and the uniform law), A splits by
        total spin into tridiagonal blocks of order at most n + 1, solved by
-       ``eigh_tridiagonal``; no dense copy of A is made. The test allows each
+       LAPACK stevd; no dense copy of A is made. The test allows each
        entry to differ from its level's value by 1e-12 max|A|, which is a
        backward error ||A - B||_2 <= (n + 1) 1e-12 max|A| (see
        ``_exchangeable_levels``).

@@ -1,6 +1,10 @@
 """Command-line interface: round trips, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,17 @@ from multimix.langevin import (
     dump_mixture,
 )
 from multimix.ple import certify_terminal_tv, row_norms
+
+
+def test_module_runs_from_the_source_tree():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "multimix", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "experiment" in out.stdout
 
 
 @pytest.fixture

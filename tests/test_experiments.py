@@ -201,9 +201,17 @@ def test_requirement_on_absent_metric_fails(tmp_path):
 # --- determinism ----------------------------------------------------------
 
 
+# small HS configs: they share the enumeration, pattern, sector and pair
+# energy structures between threads and, on a rerun, reuse them warm
+SMALL_HS = [
+    {"name": "hs-sandwich", "seeds": [0], "params": {"n": [5, 7]}},
+    {"name": "potts-gap", "seeds": [0], "params": {"n": 3, "component_gap_sample": 16}},
+]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     p = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}}]
+        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}}, *SMALL_HS]
     )
     assert run(p) == 0
     csv1 = (tmp_path / "r.csv").read_bytes()
@@ -221,6 +229,7 @@ def test_output_independent_of_thread_count(tmp_path):
             "seeds": [0],
             "params": {"redraws": 20, "m": [50, 200], "slope_window": [-2.0, 0.0]},
         },
+        *SMALL_HS,
     ]
     p = write_config(tmp_path, exps)
     assert run(p, threads=1, out_override=str(tmp_path / "a.csv")) == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from multimix.ising import (
     IsingModel,
     curie_weiss,
     exact_distribution,
+    ising_energy_vector,
     low_rank_ising,
     mean_field_potts,
 )
+from multimix.measures import _softmax
 from multimix.spectral import build_glauber_generator, eigendecompose
 
 GAP_TRANSFER = math.exp(-6.0)
@@ -153,6 +156,61 @@ def test_curie_weiss_fields_are_uniform_tilts():
     for h, comp in zip(net.fields, components):
         assert np.allclose(comp.J, off, atol=1e-15)
         assert np.allclose(comp.b, h, atol=1e-12)
+
+
+def test_tilt_laws_share_pair_energies_bitwise():
+    _, split, net, _, _, components = cw_pipeline(9)
+    # the first law fills the shared pair energies, the rest reuse them
+    for h, comp in list(zip(net.fields, components))[::7]:
+        alone = IsingModel(split.j_tilde, split.model.b + h)
+        assert np.array_equal(exact_distribution(comp).probs, _softmax(ising_energy_vector(alone)))
+    shared = components[0]._pairs["pairs"]
+    assert all(c._pairs["pairs"] is shared for c in components)
+    assert not shared.flags.writeable
+
+
+def test_doubled_net_reuses_the_inner_cells_bitwise():
+    # Curie-Weiss n = 9 doubles its radius once; the net must equal the
+    # grid at the final radius integrated from scratch
+    _, split, _, _, _, _ = cw_pipeline(9)
+    with mock.patch.object(hs, "_grid_weights", wraps=hs._grid_weights) as grid:
+        net = build_field_net(split, 1.0, 9)
+    assert grid.call_count == 2
+    coords, weights, _, _ = hs._grid_weights(split, net.radius, net.mesh)
+    assert np.array_equal(net.weights, weights)
+    assert np.array_equal(net.fields, coords @ split.basis.T)
+    # at rank 2 too, where the quadrature products take several terms
+    split = split_spectrum(low_rank_ising(5, 2, [1.6, 1.3], 0.2, seed=0), 2.0)
+    assert split.r == 2
+    inner = hs._grid_weights(split, 1.5, 0.25)
+    reused = hs._grid_weights(split, 3.0, 0.25, known=(1.5, inner[3]))
+    fresh = hs._grid_weights(split, 3.0, 0.25)
+    assert np.array_equal(reused[0], fresh[0])
+    assert np.array_equal(reused[1], fresh[1])
+    assert reused[2] == fresh[2]
+    assert np.array_equal(reused[3], fresh[3])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        curie_weiss(7, 1.5),
+        low_rank_ising(5, 2, [1.6, 1.3], 0.2, seed=0),
+        mean_field_potts(3, 3, 1.2),
+    ],
+    ids=["rank-1", "rank-2", "potts-rank-3"],
+)
+def test_grid_weights_do_not_depend_on_the_block_size(monkeypatch, model):
+    split = split_spectrum(model, 2.0)
+    states = split.enumeration[1].size
+    monkeypatch.setattr(hs, "_BLOCK_ENTRIES", 1 << 40)
+    whole = hs._grid_weights(split, 2.0, 0.2)
+    for nodes in (8, 20):
+        monkeypatch.setattr(hs, "_BLOCK_ENTRIES", nodes * states)
+        blocks = hs._grid_weights(split, 2.0, 0.2)
+        assert np.array_equal(blocks[1], whole[1])
+        assert blocks[2] == whole[2]
+        assert np.array_equal(blocks[3], whole[3])
 
 
 def test_net_capacity_guards():

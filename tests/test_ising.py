@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from multimix import CapacityError, FiniteDistribution, ParseError, ising, tv_distance
+from multimix import CapacityError, FiniteDistribution, ParseError, ising, spectral, tv_distance
 from multimix.ising import (
     IsingModel,
     PottsModel,
@@ -100,19 +100,25 @@ def test_small_enumerations_are_cached_read_only():
 
 
 def test_enumeration_cache_is_thread_safe(monkeypatch):
-    # eight threads race to fill an empty cache; each n must end up with one
-    # matrix that every thread received
+    # eight threads race to fill empty caches; each n must end up with one
+    # enumeration, and one generator pattern and cube structure, that every
+    # thread received
     monkeypatch.setattr(ising, "_states_cache", {})
+    for name in ("_patterns", "_cubes"):
+        monkeypatch.setattr(spectral, name, {})
     got = [[] for _ in range(8)]
+    shared = [[] for _ in range(8)]
 
-    def work(out):
+    def work(i):
         for n in range(1, 15):
-            out.append(states_matrix(n))
+            got[i].append(states_matrix(n))
+        for n in range(1, 11):
+            shared[i].append((spectral._heat_bath_pattern(n, 2), spectral._cube(n)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -122,6 +128,9 @@ def test_enumeration_cache_is_thread_safe(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for n in range(1, 15):
         assert all(out[n - 1] is ising._states_cache[n] for out in got)
+    for n in range(1, 11):
+        pattern, cube = spectral._patterns[(n, 2)], spectral._cubes[n]
+        assert all(out[n - 1][0] is pattern and out[n - 1][1] is cube for out in shared)
 
 
 def test_potts_digits_capacity(monkeypatch):

@@ -519,6 +519,30 @@ def test_mixture_matches_triangular_solve_oracle(name, model):
     assert np.allclose(model.score(X[3]), reference_score(model, X[3:4])[0], rtol=1e-12)
 
 
+def potential_then_grad_score(model: MixtureModel, X: np.ndarray) -> np.ndarray:
+    """The score from each component's public potential, then its gradient,
+    with the same posterior arithmetic as ``MixtureModel.score``."""
+    pairs = zip(model.weights, model.components)
+    post = np.stack([math.log(p) - c.potential(X) for p, c in pairs])
+    post -= post.max(axis=0)
+    np.exp(post, out=post)
+    post /= post.sum(axis=0)
+    out = -post[0][:, None] * model.components[0].grad(X)
+    for p, c in zip(post[1:], model.components[1:]):
+        out -= p[:, None] * c.grad(X)
+    return out
+
+
+@pytest.mark.parametrize("name,model", [m for m in oracle_mixtures() if m[1].d <= 2])
+def test_score_from_one_offset_is_bit_identical(name, model):
+    X = model.sample(500, np.random.default_rng(3))
+    assert np.array_equal(model.score(X), potential_then_grad_score(model, X))
+    for comp in model.components:
+        pot, grad = comp._potential_and_grad(X)
+        assert np.array_equal(pot, comp.potential(X))
+        assert np.array_equal(grad, comp.grad(X))
+
+
 def reference_perturbation(model: MixtureModel, epsilon: float, seed: int):
     """The perturbation's scale and measured error from full, unblocked
     100 000-draw moments, drawing exactly what perturb_score draws."""

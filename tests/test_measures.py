@@ -146,6 +146,20 @@ def test_distribution_capacity_cap():
     FiniteDistribution(np.full(1 << 20, 1.0 / (1 << 20)))
 
 
+def test_uniform_and_delta_refuse_bad_sizes_before_allocating():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="at least one state"):
+            FiniteDistribution.uniform(m)
+        with pytest.raises(ValueError, match="at least one state"):
+            FiniteDistribution.delta(0, m)
+    # 2^60 floats cannot be allocated, so only a check made first passes
+    with pytest.raises(CapacityError):
+        FiniteDistribution.uniform(1 << 60)
+    with pytest.raises(CapacityError):
+        FiniteDistribution.delta(0, 1 << 60)
+    assert FiniteDistribution.uniform(1).probs.tolist() == [1.0]
+
+
 def test_sample_set_shapes():
     s = SampleSet(np.zeros(5))
     assert (s.n, s.dim) == (5, 1)

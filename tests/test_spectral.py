@@ -416,6 +416,52 @@ def test_eigendecompose_route_pin(law, q, route):
         assert_matches_dense(oracle, spec, 1e-12)
 
 
+@pytest.fixture
+def cold_caches(monkeypatch):
+    # every shared structure is rebuilt on first use in the test
+    for name in ("_patterns", "_cubes", "_harmonics"):
+        monkeypatch.setattr(spectral, name, {})
+
+
+@pytest.mark.parametrize("n, q", [(9, 2), (4, 3)])
+def test_generator_pattern_reuse_is_bitwise(cold_caches, n, q):
+    # the first law builds the (n, q) structure, the second reuses it
+    weights = make_rng(5).uniform(0.5, 1.5, (2, q**n))
+    for w in weights:
+        pi = FiniteDistribution(w / w.sum())
+        gen = build_glauber_generator(pi, q)
+        assert (n, q) in spectral._patterns
+        assert np.array_equal(gen.A.toarray(), dense_heat_bath_fill(pi, q))
+        assert np.abs(gen.A - brute_force_symmetrized(pi, q)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [3, 512])
+def test_sector_structure_reuse_is_bitwise(cold_caches, k):
+    levels = spectral._exchangeable_levels(
+        build_glauber_generator(exact_distribution(hs_component(CW9))).A
+    )
+    assert 9 in spectral._cubes and not spectral._harmonics
+    w_cold, v_cold = spectral._sector_eigh(*levels, k)
+    assert spectral._harmonics
+    w_warm, v_warm = spectral._sector_eigh(*levels, k)
+    assert np.array_equal(w_cold, w_warm)
+    assert np.array_equal(v_cold, v_warm)
+
+
+def test_shared_structure_is_read_only_and_capped(cold_caches):
+    eigendecompose(build_glauber_generator(exact_distribution(CW9)), 9)
+    nbs, *pattern = spectral._patterns[(9, 2)]
+    level, up, slot = spectral._cubes[9]
+    arrays = [*nbs, *pattern, level, up.data, up.indices, up.indptr, slot]
+    arrays += [a for pair in spectral._harmonics.values() for a in pair]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+    # above 2^14 states nothing is kept
+    assert spectral._cube(15) is not spectral._cube(15)
+    assert 15 not in spectral._cubes and (15, 2) not in spectral._patterns
+
+
 def test_uniform_spectrum_repeats_each_sector_exactly():
     # eigenvalue e of the uniform n-cube chain has multiplicity C(n, e), the
     # sum of the sector multiplicities C(n, j) - C(n, j - 1) over
