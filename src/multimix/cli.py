@@ -101,7 +101,6 @@ def _fit_config(args) -> PleConfig:
         step=args.step,
         max_iters=args.max_iters,
         tolerance=args.tolerance,
-        seed=args.seed,
     )
 
 
@@ -176,12 +175,6 @@ def _add_fit_options(sub) -> None:
     sub.add_argument("--step", type=float, default=None)
     sub.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
     sub.add_argument("--tolerance", type=float, default=1e-6)
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="ignored: the fit is deterministic and reads no seed",
-    )
     sub.set_defaults(func=_cmd_fit)
 
 
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex_subs = ex.add_subparsers(dest="experiment_command", required=True)
     er = ex_subs.add_parser("run")
     er.add_argument("config", help="JSON experiment config")
-    er.add_argument("--threads", type=int, default=None)
+    er.add_argument("--threads", type=int, default=4, help="worker-pool width")
     er.add_argument("--timings", action="store_true")
     er.add_argument("--out", default=None, help="override the CSV output path")
     er.set_defaults(func=_cmd_experiment_run)

@@ -85,7 +85,9 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A catalog entry plus its seeds and parameter overrides."""
+    """A catalog entry plus its seeds and parameter overrides. `params` comes
+    out complete: every declared key, each given value checked against the
+    type of its default and converted to it."""
 
     name: str
     seeds: tuple[int, ...]
@@ -103,29 +105,63 @@ class ExperimentConfig:
                 f"experiment {self.name!r} has unknown parameter(s) "
                 f"{', '.join(map(repr, unknown))}; known: {sorted(PARAMETERS[self.name])}"
             )
+        typed = {key: _typed(self.name, key, v) for key, v in self.params.items()}
+        object.__setattr__(self, "params", {**PARAMETERS[self.name], **typed})
+
+
+def _number(kind: type, value):
+    """`value` as a finite `kind` (int or float), or None if it is not one.
+    A bool is not a number, and an int takes only integral values."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        return None
+    if kind is int:
+        return int(value) if value == int(value) else None
+    return float(value)
+
+
+_KINDS = {int: "whole number", float: "finite number"}
+
+
+def _typed(name: str, key: str, value):
+    """`value` converted to the type of the parameter's default: an int, a
+    finite float, a nonempty list of either for a tuple default, and a path
+    string or null for the `model` default None."""
+    default = PARAMETERS[name][key]
+    if default is None:
+        typed, want = value, "a path string or null"
+        ok = value is None or isinstance(value, str)
+    elif isinstance(default, tuple):
+        items = value if isinstance(value, list) else ()
+        typed = tuple(_number(type(default[0]), v) for v in items)
+        # the slope window is a (lo, hi) pair; every other list is a sweep
+        pair = key == "slope_window"
+        want = f"a list of {'two' if pair else 'one or more'} {_KINDS[type(default[0])]}s"
+        ok = typed and None not in typed and (not pair or len(typed) == 2)
+    else:
+        typed, want = _number(type(default), value), f"a {_KINDS[type(default)]}"
+        ok = typed is not None
+    if not ok:
+        raise ParseError(f"experiment {name!r} parameter {key!r} must be {want}, got {value!r}")
+    return typed
 
 
 class _Runner:
-    """Submits sweep-point tasks to the shared pool; `map` returns each task's
-    rows as one list, in submission order, so output ordering never depends
-    on scheduling."""
+    """Maps a sweep-point function over the shared pool; `map` returns each
+    point's rows as one list, in input order, so output ordering never
+    depends on scheduling."""
 
     def __init__(self, pool: ThreadPoolExecutor, timings: bool):
         self._pool = pool
         self._timings = timings
 
-    def map(self, tasks) -> list[list[ResultRow]]:
-        def timed(fn):
-            def call():
-                start = time.perf_counter()
-                rows = fn()
-                elapsed = time.perf_counter() - start if self._timings else 0.0
-                return [replace(r, runtime_seconds=elapsed) for r in rows]
+    def map(self, fn, *iterables) -> list[list[ResultRow]]:
+        def timed(*point):
+            start = time.perf_counter()
+            rows = fn(*point)
+            elapsed = time.perf_counter() - start if self._timings else 0.0
+            return [replace(r, runtime_seconds=elapsed) for r in rows]
 
-            return call
-
-        futures = [self._pool.submit(timed(fn)) for fn in tasks]
-        return [fut.result() for fut in futures]
+        return list(self._pool.map(timed, *iterables))
 
 
 def _ising_fixture(n: int = 8, seed: int = 606) -> IsingModel:
@@ -222,134 +258,111 @@ def _certified(rows) -> bool:
 
 
 def _exp_balance_concentration(params, seeds, runner):
-    n = int(params["n"])
-    k = int(params["k"])
-    sizes = [int(v) for v in params["m"]]
-    redraws = int(params["redraws"])
-    lo, hi = params["slope_window"]
+    k, redraws = params["k"], params["redraws"]
     if params["model"] is None:
-        model = _ising_fixture(n)
+        model = _ising_fixture(params["n"])
     else:
         model = load_ising_model(Path(params["model"]).read_text())
     spectrum = eigendecompose(build_glauber_generator(exact_distribution(model)), k)
     base_seed = seeds[0]
 
     def point(m_samples):
-        def task():
-            vals = np.empty(redraws)
-            for r in range(redraws):
-                draws = sample_exact(model, m_samples, base_seed + 7919 * r + m_samples)
-                vals[r] = balance_statistic(spectrum, SampleSet(draws), k).value
-            med = float(np.median(vals))
-            label = f"n={model.n} k={k} m={m_samples}"
-            return [
-                ResultRow("balance-concentration", label, "median_balance", med),
-                ResultRow(
-                    "balance-concentration",
-                    label,
-                    "balance_iqr",
-                    float(np.subtract(*np.percentile(vals, [75, 25]))),
-                ),
-            ]
+        vals = np.empty(redraws)
+        for r in range(redraws):
+            draws = sample_exact(model, m_samples, base_seed + 7919 * r + m_samples)
+            vals[r] = balance_statistic(spectrum, SampleSet(draws), k).value
+        med = float(np.median(vals))
+        iqr = float(np.subtract(*np.percentile(vals, [75, 25])))
+        label = f"n={model.n} k={k} m={m_samples}"
+        return [
+            ResultRow("balance-concentration", label, "median_balance", med),
+            ResultRow("balance-concentration", label, "balance_iqr", iqr),
+        ]
 
-        return task
-
-    groups = runner.map([point(m) for m in sizes])
+    sizes = params["m"]
+    groups = runner.map(point, sizes)
     medians = [rows[0].value for rows in groups]
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
     rows = _flatten(groups)
     rows.append(
         ResultRow("balance-concentration", f"n={model.n} k={k}", "loglog_slope", slope)
     )
+    lo, hi = params["slope_window"]
     return rows, bool(lo <= slope <= hi)
 
 
 def _exp_cw_gap_scaling(params, seeds, runner):
-    sweep = [int(v) for v in params["n"]]
-    beta = float(params["beta"])
-    ratio_cap = float(params["ratio_cap"])
+    beta = params["beta"]
 
     def point(n):
-        def task():
-            spec = eigendecompose(
-                build_glauber_generator(exact_distribution(curie_weiss(n, beta))), 3
-            )
-            # rates per coordinate update (unit-rate eigenvalues over n). The
-            # exact lambda3/n falls like 0.5/n (4.556e-2, 4.324e-3, 4.942e-4
-            # at n = 11, 101, 1001), so n3_lambda3 grows like n^2, not flat
-            lam2 = float(spec.eigenvalues[1]) / n
-            lam3 = float(spec.eigenvalues[2]) / n
-            label = f"n={n} beta={beta}"
-            return [
-                ResultRow("cw-gap-scaling", label, "lambda2", lam2),
-                ResultRow("cw-gap-scaling", label, "lambda3", lam3),
-                ResultRow("cw-gap-scaling", label, "n3_lambda3", n**3 * lam3),
-            ]
+        spec = eigendecompose(
+            build_glauber_generator(exact_distribution(curie_weiss(n, beta))), 3
+        )
+        # rates per coordinate update (unit-rate eigenvalues over n). The
+        # exact lambda3/n falls like 0.5/n (4.556e-2, 4.324e-3, 4.942e-4
+        # at n = 11, 101, 1001), so n3_lambda3 grows like n^2, not flat
+        lam2 = float(spec.eigenvalues[1]) / n
+        lam3 = float(spec.eigenvalues[2]) / n
+        label = f"n={n} beta={beta}"
+        return [
+            ResultRow("cw-gap-scaling", label, "lambda2", lam2),
+            ResultRow("cw-gap-scaling", label, "lambda3", lam3),
+            ResultRow("cw-gap-scaling", label, "n3_lambda3", n**3 * lam3),
+        ]
 
-        return task
-
-    groups = runner.map([point(n) for n in sweep])
+    groups = runner.map(point, params["n"])
     rows = _flatten(groups)
     ok = True
     for lo, hi in zip(groups, groups[1:]):
         ratio = hi[0].value / lo[0].value
         rows.append(ResultRow("cw-gap-scaling", hi[0].parameters, "lambda2_ratio", ratio))
-        ok &= ratio <= ratio_cap
+        ok &= ratio <= params["ratio_cap"]
     cubes = [g[2].value for g in groups]
     ok &= all(v >= 0.9 * cubes[0] for v in cubes)
     return rows, ok
 
 
 def _exp_langevin_metastability(params, seeds, runner):
-    step = float(params["step"])
-    horizon = float(params["horizon"])
-    chains = int(params["chains"])
-    pool_size = int(params["stationary_samples"])
+    chains = params["chains"]
     model = _bimodal_fixture()
     score = exact_score(model)
 
     def one(seed, mode):
-        def task():
-            if mode == "data":
-                init = sample_mixture(model, pool_size, seed + 11)
-            else:
-                init = np.array([[-5.0]])
-            cfg = LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains)
-            res = lmc_run(init, score, cfg)
-            x = res.samples.data[:, 0]
-            frac = float(np.mean(x > 0.0)) if mode == "data" else float(np.mean(x < 0.0))
-            name = "right_mode_fraction" if mode == "data" else "stay_fraction"
-            se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / chains)
-            label = f"init={mode} seed={seed}"
-            return [ResultRow("langevin-metastability", label, name, frac, stderr=se)]
+        if mode == "data":
+            init = sample_mixture(model, params["stationary_samples"], seed + 11)
+        else:
+            init = np.array([[-5.0]])
+        cfg = LmcConfig(step=params["step"], horizon=params["horizon"], seed=seed, chains=chains)
+        res = lmc_run(init, score, cfg)
+        x = res.samples.data[:, 0]
+        frac = float(np.mean(x > 0.0)) if mode == "data" else float(np.mean(x < 0.0))
+        name = "right_mode_fraction" if mode == "data" else "stay_fraction"
+        se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / chains)
+        label = f"init={mode} seed={seed}"
+        return [ResultRow("langevin-metastability", label, name, frac, stderr=se)]
 
-        return task
-
-    groups = runner.map([one(s, m) for s in seeds for m in ("data", "single")])
+    modes = ("data", "single")
+    groups = runner.map(one, [s for s in seeds for _ in modes], modes * len(seeds))
     fracs = [rows[0].value for rows in groups]
     ok = all(0.45 <= v <= 0.55 for v in fracs[::2]) and all(v >= 0.95 for v in fracs[1::2])
     return _flatten(groups), ok
 
 
 def _exp_score_robustness(params, seeds, runner):
-    eps_grid = [float(v) for v in params["eps_sc"]]
-    step = float(params["step"])
-    horizon = float(params["horizon"])
-    chains = int(params["chains"])
+    eps_grid = params["eps_sc"]
     model = _bimodal_fixture()
 
     def one(seed, eps):
-        def task():
-            score = perturb_score(model, eps, seed=seed + 101)
-            tv = _data_started_tv(model, score, seed, step, horizon, chains)
-            label = f"seed={seed} eps_sc={eps}"
-            return [ResultRow("score-robustness", label, "terminal_tv", tv)]
+        score = perturb_score(model, eps, seed=seed + 101)
+        tv = _data_started_tv(
+            model, score, seed, params["step"], params["horizon"], params["chains"]
+        )
+        label = f"seed={seed} eps_sc={eps}"
+        return [ResultRow("score-robustness", label, "terminal_tv", tv)]
 
-        return task
-
-    groups = runner.map([one(s, e) for s in seeds for e in eps_grid])
-    rows = _flatten(groups)
     width = len(eps_grid)
+    groups = runner.map(one, [s for s in seeds for _ in eps_grid], eps_grid * len(seeds))
+    rows = _flatten(groups)
     votes = 0
     for i, s in enumerate(seeds):
         tvs = [g[0].value for g in groups[i * width : (i + 1) * width]]
@@ -366,64 +379,48 @@ def _exp_score_robustness(params, seeds, runner):
 
 
 def _exp_hs_sandwich(params, seeds, runner):
-    sweep = [int(v) for v in params["n"]]
-    beta = float(params["beta"])
-    c = float(params["c"])
+    beta, c = params["beta"], params["c"]
 
     def point(n):
-        def task():
-            label = f"n={n} beta={beta} c={c}"
-            return _hs_certificate("hs-sandwich", label, curie_weiss(n, beta), c)[0]
+        label = f"n={n} beta={beta} c={c}"
+        return _hs_certificate("hs-sandwich", label, curie_weiss(n, beta), c)[0]
 
-        return task
-
-    groups = runner.map([point(n) for n in sweep])
+    groups = runner.map(point, params["n"])
     return _flatten(groups), all(_certified(rows) for rows in groups)
 
 
 def _exp_learn_ising_e2e(params, seeds, runner):
-    n = int(params["n"])
-    top = float(params["top_eigenvalue"])
-    m_fit = int(params["m_fit"])
-    m_init = int(params["m_init"])
-    horizon = float(params["horizon"])
-    truth = low_rank_ising(n, 1, [top], 0.2, seed=int(params["model_seed"]))
+    n, m_fit = params["n"], params["m_fit"]
+    truth = low_rank_ising(n, 1, [params["top_eigenvalue"]], 0.2, seed=params["model_seed"])
     radius = float(row_norms(truth).max())
 
     def one(seed):
-        def task():
-            report = learn_and_sample(
-                truth, m_fit, m_init, PleConfig(radius=radius, seed=seed), horizon
-            )
-            values = [("epsilon_hat", report.fit.epsilon_hat), ("terminal_tv", report.tv)]
-            # the Monte Carlo fallback above the certification cap has no balance
-            if report.exact:
-                values.append(("balance", report.balance.value))
-            values.append(("converged", float(report.fit.converged)))
-            label = f"n={n} m_fit={m_fit} seed={seed}"
-            return [ResultRow("learn-ising-e2e", label, name, v) for name, v in values]
+        report = learn_and_sample(
+            truth, m_fit, params["m_init"], PleConfig(radius=radius, seed=seed), params["horizon"]
+        )
+        values = [("epsilon_hat", report.fit.epsilon_hat), ("terminal_tv", report.tv)]
+        # the Monte Carlo fallback above the certification cap has no balance
+        if report.exact:
+            values.append(("balance", report.balance.value))
+        values.append(("converged", float(report.fit.converged)))
+        label = f"n={n} m_fit={m_fit} seed={seed}"
+        return [ResultRow("learn-ising-e2e", label, name, v) for name, v in values]
 
-        return task
-
-    groups = runner.map([one(s) for s in seeds])
+    groups = runner.map(one, seeds)
     votes = sum(rows[0].value <= 0.01 and rows[1].value <= 0.15 for rows in groups)
     return _flatten(groups), votes * 2 > len(seeds)
 
 
 def _exp_potts_gap(params, seeds, runner):
-    n = int(params["n"])
-    q = int(params["q"])
-    beta = float(params["beta"])
-    c = float(params["c"])
-    gap_sample = int(params["component_gap_sample"])
+    q, beta = params["q"], params["beta"]
 
-    def task():
+    def task(n):
         label = f"n={n} q={q} beta={beta}"
         model = mean_field_potts(n, q, beta)
-        rows, net, pi, refined = _hs_certificate("potts-gap", label, model, c)
+        rows, net, pi, refined = _hs_certificate("potts-gap", label, model, params["c"])
         # eigensolving every component is out of reach; a deterministic
         # stride plus the strongest tilt stands in for the minimum
-        stride = max(1, net.count // gap_sample)
+        stride = max(1, net.count // params["component_gap_sample"])
         picks = sorted(set(range(0, net.count, stride)) | {int(np.argmax(np.linalg.norm(net.fields, axis=1)))})
         gaps = [
             float(eigendecompose(build_glauber_generator(refined[i], q), 2).eigenvalues[1])
@@ -436,17 +433,13 @@ def _exp_potts_gap(params, seeds, runner):
             ResultRow("potts-gap", label, "mixture_gap", float(spec.eigenvalues[k_eff])),
         ]
 
-    [rows] = runner.map([task])
+    [rows] = runner.map(task, [params["n"]])
     min_gap, mixture_gap = rows[5].value, rows[6].value
     return rows, _certified(rows) and mixture_gap >= min_gap * GAP_TRANSFER - 1e-8
 
 
 def _exp_min_weight_free(params, seeds, runner):
-    tiny = float(params["tiny_weight"])
-    step = float(params["step"])
-    horizon = float(params["horizon"])
-    chains = int(params["chains"])
-    shift_cap = float(params["shift_cap"])
+    tiny = params["tiny_weight"]
     big = 0.5 * (1.0 - tiny)
     eye = np.eye(1)
     model = MixtureModel(
@@ -460,15 +453,15 @@ def _exp_min_weight_free(params, seeds, runner):
     kept = frozenset({0, 1})
 
     def one(seed, dropped):
-        def task():
-            score = submixture_score(model, kept) if dropped else exact_score(model)
-            tv = _data_started_tv(model, score, seed, step, horizon, chains)
-            name = "terminal_tv_dropped" if dropped else "terminal_tv_full"
-            return [ResultRow("min-weight-free", f"seed={seed}", name, tv)]
+        score = submixture_score(model, kept) if dropped else exact_score(model)
+        tv = _data_started_tv(
+            model, score, seed, params["step"], params["horizon"], params["chains"]
+        )
+        name = "terminal_tv_dropped" if dropped else "terminal_tv_full"
+        return [ResultRow("min-weight-free", f"seed={seed}", name, tv)]
 
-        return task
-
-    groups = runner.map([one(s, d) for s in seeds for d in (False, True)])
+    drops = (False, True)
+    groups = runner.map(one, [s for s in seeds for _ in drops], drops * len(seeds))
     rows = _flatten(groups)
     err = submixture_score_error(model, kept, sample_mixture(model, 4000, seeds[0] + 23))
     rows.append(ResultRow("min-weight-free", rows[0].parameters, "dropped_score_error", err))
@@ -476,7 +469,7 @@ def _exp_min_weight_free(params, seeds, runner):
     for [full], [dropped] in zip(groups[::2], groups[1::2]):
         shift = abs(full.value - dropped.value)
         rows.append(ResultRow("min-weight-free", full.parameters, "tv_shift", shift))
-        ok &= shift <= shift_cap
+        ok &= shift <= params["shift_cap"]
     return rows, ok
 
 
@@ -579,34 +572,22 @@ def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
             raise ParseError("'require' must be a list of objects")
         for rule in require:
             _check_rule(rule)
-        configs.append(
-            ExperimentConfig(
-                name=entry["name"],
-                seeds=tuple(seeds),
-                params=params,
-                require=tuple(require),
-            )
-        )
+        configs.append(ExperimentConfig(entry["name"], tuple(seeds), params, tuple(require)))
     return configs, out
 
 
 def _check_requirements(rows, require) -> bool:
+    """Each rule matches at least one row, and every value it matches lies
+    within its bounds."""
     ok = True
     for rule in require:
+        lo, hi = rule.get("min", -math.inf), rule.get("max", math.inf)
         matched = [
-            r
+            r.value
             for r in rows
-            if r.metric == rule["metric"]
-            and ("parameters" not in rule or r.parameters == rule["parameters"])
+            if r.metric == rule["metric"] and rule.get("parameters", r.parameters) == r.parameters
         ]
-        if not matched:
-            ok = False
-            continue
-        for r in matched:
-            if "min" in rule:
-                ok &= r.value >= rule["min"]
-            if "max" in rule:
-                ok &= r.value <= rule["max"]
+        ok &= bool(matched) and all(lo <= v <= hi for v in matched)
     return ok
 
 
@@ -628,30 +609,21 @@ def _render_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow(
-            [
-                r.experiment,
-                r.parameters,
-                r.metric,
-                repr(float(r.value)),
-                repr(float(r.stderr)),
-                repr(float(r.runtime_seconds)),
-            ]
-        )
+        numbers = (r.value, r.stderr, r.runtime_seconds)
+        writer.writerow([r.experiment, r.parameters, r.metric, *(repr(float(v)) for v in numbers)])
     return buf.getvalue()
 
 
 def run(
     config_path,
     *,
-    threads: int | None = None,
+    threads: int = 4,
     timings: bool = False,
     out_override: str | None = None,
 ) -> int:
     """Execute every experiment in the config; write CSV and JSON summary.
 
-    The worker-pool width comes from the `threads` argument, else the
-    MULTIMIX_THREADS environment variable, else 4. Results are ordered by
+    `threads` workers share the sweep points. Results are ordered by
     (experiment position, sweep position) regardless of scheduling.
     """
     path = Path(config_path)
@@ -667,9 +639,6 @@ def run(
     if path.resolve() in (out_path.resolve(), summary_path.resolve()):
         print(f"error: results would overwrite the config {path}", file=sys.stderr)
         return 2
-    if threads is None:
-        env = os.environ.get("MULTIMIX_THREADS", "")
-        threads = int(env) if env.isdigit() and int(env) > 0 else 4
 
     all_rows: list[ResultRow] = []
     summary = []
@@ -678,9 +647,9 @@ def run(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runner = _Runner(pool, timings)
             for cfg in configs:
-                params = {**PARAMETERS[cfg.name], **cfg.params}
+                params = cfg.params
                 if isinstance(params.get("model"), str):
-                    params["model"] = str(path.parent / params["model"])
+                    params = {**params, "model": str(path.parent / params["model"])}
                 rows, passed = CATALOG[cfg.name](params, list(cfg.seeds), runner)
                 passed &= _check_requirements(rows, cfg.require)
                 all_rows.extend(rows)

@@ -25,9 +25,16 @@ from scipy.integrate import quad
 
 from .errors import CapacityError, ParseError
 from .ising import IsingModel, PottsModel, potts_digits, states_matrix
-from .measures import FiniteDistribution, _header, _logsumexp, _numbers, _row, _softmax
+from .measures import (
+    MAX_EXACT_STATES,
+    FiniteDistribution,
+    _header,
+    _logsumexp,
+    _numbers,
+    _row,
+    _softmax,
+)
 
-MAX_EXACT_STATES = 1 << 14
 MAX_FIELDS = 1_000_000
 MAX_NET_RANK = 3
 # entries of one block of per-state work: states x quadrature nodes

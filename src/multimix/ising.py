@@ -24,6 +24,7 @@ from scipy.special import expit
 
 from .errors import CapacityError, ParseError
 from .measures import (
+    MAX_EXACT_STATES,
     MAX_STATES,
     FiniteDistribution,
     _check_state_count,
@@ -121,7 +122,6 @@ class PottsModel:
 # state indexing
 
 
-_CACHED_STATES = 1 << 14  # the largest state count a shared structure is kept for
 _cache_lock = threading.RLock()
 _states_cache: dict[int, np.ndarray] = {}
 
@@ -134,7 +134,7 @@ def _shared(cache: dict, key, states: int, build):
     Builds run under one reentrant lock, so each key is built once and a
     build may itself look up another shared structure.
     """
-    if states > _CACHED_STATES:
+    if states > MAX_EXACT_STATES:
         return build()
     with _cache_lock:
         value = cache.get(key)

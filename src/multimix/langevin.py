@@ -57,6 +57,8 @@ class GaussianComponent:
         d = mean.size
         if cov.shape != (d, d):
             raise ValueError("covariance shape does not match the mean")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         if np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -240,9 +242,10 @@ class MixtureModel:
         components = tuple(components)
         if weights.size == 0 or weights.size != len(components):
             raise ValueError("need one positive weight per component")
-        if weights.min() <= 0.0:
+        # negated comparisons, so that NaN weights fail too
+        if not weights.min() > 0.0:
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to one")
         dims = {c.dim for c in components}
         if len(dims) != 1:
@@ -475,10 +478,11 @@ class LmcConfig:
     chains: int = 1
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step size must be positive")
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
+        # negated comparisons, so that NaN and infinite values fail too
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step size must be positive and finite")
+        if not 0.0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be nonnegative and finite")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         n = round(self.horizon / self.step)

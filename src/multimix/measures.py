@@ -17,6 +17,9 @@ from scipy.special import rel_entr
 from .errors import CapacityError, ParseError
 
 MAX_STATES = 1 << 20
+# the largest state space that is solved densely, decomposed exactly, or has
+# its law-independent structure kept and shared between callers
+MAX_EXACT_STATES = 1 << 14
 _SUM_TOL = 1e-12
 
 

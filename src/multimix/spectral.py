@@ -25,9 +25,7 @@ import scipy.sparse.linalg
 
 from .errors import CapacityError
 from .ising import _shared
-from .measures import FiniteDistribution, SampleSet, _readonly
-
-MAX_DENSE_STATES = 1 << 14
+from .measures import MAX_EXACT_STATES, FiniteDistribution, SampleSet, _readonly
 
 # law-independent structure, built once per (n, q) or n by ``ising._shared``
 _patterns: dict = {}
@@ -262,8 +260,8 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
         raise ValueError(f"state count {m} is not a power of {'two' if q == 2 else q}")
     if n < 1:
         raise ValueError("need at least one site")
-    if m > MAX_DENSE_STATES:
-        raise CapacityError(f"{m} states exceed the dense cap of {MAX_DENSE_STATES}")
+    if m > MAX_EXACT_STATES:
+        raise CapacityError(f"{m} states exceed the dense cap of {MAX_EXACT_STATES}")
     if pi.probs.min() <= 0.0:
         raise ValueError("stationary law must have full support (zero entries found)")
     nbs, gather, indices, indptr = _heat_bath_pattern(n, q)

@@ -203,6 +203,16 @@ def test_learn_is_an_alias_for_ple_fit(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fit_has_no_seed_option(tmp_path):
+    # the fit is deterministic, so it takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["ple", "fit", "--samples", str(tmp_path / "X.txt"), "--radius", "2.0",
+             "--out", str(tmp_path / "f.txt"), "--seed", "3"]
+        )
+    assert exc.value.code == 2
+
+
 def test_fit_rejects_nonpositive_radius(tmp_path, capsys):
     _, spath = fit_fixture(tmp_path)
     rc = main(

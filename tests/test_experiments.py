@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from multimix.experiments import (
 )
 from multimix.ising import curie_weiss, dump_ising_model, exact_distribution
 from multimix.spectral import build_glauber_generator
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, experiments, out="r.csv", name="cfg.json"):
@@ -71,6 +75,18 @@ def test_config_rejects_unknown_parameter():
         )
 
 
+def test_config_converts_values_to_the_declared_types():
+    # an integral number such as 1e1 stands for an int; an int for a float
+    cfg = ExperimentConfig(
+        name="learn-ising-e2e", seeds=(0,), params={"n": 1e1, "horizon": 25}
+    )
+    assert cfg.params == {**PARAMETERS["learn-ising-e2e"], "n": 10, "horizon": 25.0}
+    assert type(cfg.params["n"]) is int and type(cfg.params["horizon"]) is float
+    cfg = ExperimentConfig(name="score-robustness", seeds=(0,), params={"eps_sc": [0, 1]})
+    assert cfg.params["eps_sc"] == (0.0, 1.0)
+    assert all(type(v) is float for v in cfg.params["eps_sc"])
+
+
 def test_declared_parameters_match_what_each_experiment_reads():
     for name, fn in CATALOG.items():
         src = inspect.getsource(fn)
@@ -92,36 +108,116 @@ def test_invalid_json_exits_2(tmp_path):
     assert run(p) == 2
 
 
+MALFORMED = [
+    "[1, 2]",
+    '{"experiments": 3}',
+    '{"experiments": [{"seeds": [0]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": "0"}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "params": 7}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "require": 5}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": []}]}',
+    '{"experiments": [{"name": "no-such-thing", "seeds": [0]}]}',
+    '{"experiments": [], "out": 9}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [true]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "require": [{"max": 0.1}]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+    ' "require": [{"metric": "lambda2_ratio", "mx": 0.1}]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+    ' "require": [{"metric": "lambda2_ratio", "max": "abc"}]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+    ' "require": [{"metric": "lambda2_ratio", "min": true}]}]}',
+    '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
+    ' "require": [{"metric": "lambda2_ratio", "max": NaN}]}]}',
+]
+
+
+def _wrong_kinds(default):
+    """Values of the wrong JSON kind for a parameter with this default."""
+    kinds = [True, float("nan")]
+    if default is not None:
+        kinds += ["abc", None]
+    if isinstance(default, tuple):
+        kinds += [default[0], [], [True]]
+        if type(default[0]) is int:
+            kinds.append([default[0], 2.5])
+    else:
+        kinds.append([default])
+    if type(default) is int:
+        kinds.append(2.5)
+    return kinds
+
+
+def _with_params(name, params):
+    return json.dumps({"experiments": [{"name": name, "seeds": [0], "params": params}]})
+
+
+WRONG_TYPED = [
+    pytest.param(_with_params(name, {key: value}), (name, key), id=f"{name}-{key}-{value!r}")
+    for name, declared in PARAMETERS.items()
+    for key, default in declared.items()
+    for value in _wrong_kinds(default)
+]
+
+# unchecked, each of these would crash with a traceback, run on a silently
+# changed value, or fail only after the experiments before it had run
+TYPED_DEFECTS = [
+    pytest.param(_with_params("hs-sandwich", {"n": 7}), ("hs-sandwich", "n"), id="hs-scalar-n"),
+    pytest.param(
+        _with_params("cw-gap-scaling", {"n": 9}), ("cw-gap-scaling", "n"), id="cw-scalar-n"
+    ),
+    pytest.param(
+        _with_params("balance-concentration", {"model": 5}),
+        ("balance-concentration", "model"),
+        id="numeric-model-path",
+    ),
+    pytest.param(
+        _with_params("learn-ising-e2e", {"n": 8.9}), ("learn-ising-e2e", "n"), id="truncated-n"
+    ),
+    pytest.param(
+        _with_params("cw-gap-scaling", {"n": [5, True]}), ("cw-gap-scaling", "n"), id="bool-in-n"
+    ),
+    pytest.param(
+        _with_params("balance-concentration", {"slope_window": [-0.6, -0.4, 0.0]}),
+        ("balance-concentration", "slope_window"),
+        id="three-value-window",
+    ),
+    pytest.param(
+        json.dumps(
+            {
+                "experiments": [
+                    {"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}},
+                    {"name": "hs-sandwich", "seeds": [0], "params": {"beta": "abc"}},
+                ]
+            }
+        ),
+        ("hs-sandwich", "beta"),
+        id="string-beta-after-a-good-experiment",
+    ),
+    pytest.param(
+        _with_params("cw-gap-scaling", {"beta": float("nan")}),
+        ("cw-gap-scaling", "beta"),
+        id="nan-beta",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [
-        "[1, 2]",
-        '{"experiments": 3}',
-        '{"experiments": [{"seeds": [0]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": "0"}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "params": 7}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "require": 5}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": []}]}',
-        '{"experiments": [{"name": "no-such-thing", "seeds": [0]}]}',
-        '{"experiments": [], "out": 9}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [true]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "require": [{"max": 0.1}]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
-        ' "require": [{"metric": "lambda2_ratio", "mx": 0.1}]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
-        ' "require": [{"metric": "lambda2_ratio", "max": "abc"}]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
-        ' "require": [{"metric": "lambda2_ratio", "min": true}]}]}',
-        '{"experiments": [{"name": "cw-gap-scaling", "seeds": [0],'
-        ' "require": [{"metric": "lambda2_ratio", "max": NaN}]}]}',
-    ],
+    ("payload", "named"),
+    [pytest.param(payload, (), id=payload) for payload in MALFORMED]
+    + TYPED_DEFECTS
+    + WRONG_TYPED,
 )
-def test_malformed_configs_exit_2(tmp_path, payload, monkeypatch):
+def test_malformed_configs_exit_2(tmp_path, payload, named, monkeypatch, capsys):
     # every one of these is refused while parsing, before any experiment runs
-    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: pytest.fail("ran"))
+    for name in CATALOG:
+        monkeypatch.setitem(CATALOG, name, lambda *args: pytest.fail("ran"))
     p = tmp_path / "bad.json"
     p.write_text(payload)
     assert run(p) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(repr(word) in err for word in named)
+    assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
     with pytest.raises(ParseError):
         _parse_config(payload)
 
@@ -235,18 +331,6 @@ def test_output_independent_of_thread_count(tmp_path):
     assert run(p, threads=1, out_override=str(tmp_path / "a.csv")) == 0
     assert run(p, threads=4, out_override=str(tmp_path / "b.csv")) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
-def test_threads_env_variable_is_honored(tmp_path, monkeypatch):
-    p = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}}]
-    )
-    monkeypatch.setenv("MULTIMIX_THREADS", "2")
-    assert run(p) == 0
-    baseline = (tmp_path / "r.csv").read_bytes()
-    monkeypatch.setenv("MULTIMIX_THREADS", "not-a-number")
-    assert run(p) == 0
-    assert (tmp_path / "r.csv").read_bytes() == baseline
 
 
 def test_timings_flag_records_runtimes(tmp_path):
@@ -491,10 +575,14 @@ def test_learn_ising_e2e_above_certification_cap_has_no_balance_row(tmp_path):
 # --- shipped fixtures -----------------------------------------------------
 
 
-def test_shipped_gap_config_runs_clean(tmp_path):
-    from pathlib import Path
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    configs, _ = _parse_config(path.read_text())
+    assert configs
 
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "curie-weiss-gaps.json"
+
+def test_shipped_gap_config_runs_clean(tmp_path):
+    shipped = CONFIGS / "curie-weiss-gaps.json"
     assert run(shipped, out_override=str(tmp_path / "gaps.csv")) == 0
     rows = read_rows(tmp_path / "gaps.csv")
     assert {r[2] for r in rows} == {

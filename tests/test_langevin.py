@@ -52,6 +52,9 @@ def test_component_validation():
         SoftplusComponent([0.0], [[1.0]], [0.0], 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         SoftplusComponent([0.0], [[1.0]], [1.0], -1.0)
+    for mean in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent([mean], [[1.0]])
 
 
 def test_mixture_validation():
@@ -60,6 +63,8 @@ def test_mixture_validation():
         MixtureModel([0.5, 0.4], [g, g])
     with pytest.raises(ValueError, match="positive"):
         MixtureModel([1.2, -0.2], [g, g])
+    with pytest.raises(ValueError, match="positive"):
+        MixtureModel([math.nan, math.nan], [g, g])
     far = GaussianComponent([4.0], [[1.0]])
     with pytest.raises(ValueError, match="separation"):
         MixtureModel([0.5, 0.5], [g, far], separation=3.0)
@@ -252,6 +257,10 @@ def test_lmc_config_validation():
         LmcConfig(step=0.3, horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="chain"):
         LmcConfig(step=0.1, horizon=1.0, seed=0, chains=0)
+    # an infinite step would round to zero steps and run nothing
+    for step, horizon in [(math.inf, 5.0), (0.1, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            LmcConfig(step=step, horizon=horizon, seed=0)
     assert LmcConfig(step=0.25, horizon=1.0, seed=0).steps == 4
     assert LmcConfig(step=0.1, horizon=0.0, seed=0).steps == 0
 

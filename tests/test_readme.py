@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import multimix
+from multimix.experiments import _parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +34,11 @@ def test_readme_names_exactly_the_versioned_formats():
     named = set(re.findall(r"`([a-z][\w-]*) v1`", README.read_text()))
     assert "ising" in named
     assert written == read == named
+
+
+def test_readme_experiment_config_parses():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        configs, _ = _parse_config(block)
+        assert configs
