@@ -151,11 +151,12 @@ class SoftplusComponent:
         tilt = np.asarray(tilt, dtype=float).reshape(-1)
         if tilt.size != base.dim:
             raise ValueError("tilt direction has the wrong dimension")
-        if np.linalg.norm(tilt) == 0.0:
-            raise ValueError("tilt direction must be nonzero")
         strength = float(strength)
-        if strength < 0.0:
-            raise ValueError("tilt strength must be nonnegative")
+        # negated comparisons, so that NaN and infinite values fail too
+        if not 0.0 < np.linalg.norm(tilt) < math.inf:
+            raise ValueError("tilt direction must be nonzero and finite")
+        if not 0.0 <= strength < math.inf:
+            raise ValueError("tilt strength must be nonnegative and finite")
         self._base = base
         self.center = base.mean
         self.cov = base.cov
@@ -353,23 +354,19 @@ _FIELD_KINDS = ("exact", "perturbed", "submixture")
 class ScoreField:
     """A score evaluator together with where it came from.
 
-    Perturbed fields carry both the requested error level and the error
-    actually measured on a fresh stationary Monte Carlo batch.
+    Perturbed fields carry the stationary L2 error level they were scaled to.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     kind: str
     epsilon: float | None = None
-    measured_error: float | None = None
     subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _FIELD_KINDS:
             raise ValueError(f"unknown score field kind {self.kind!r}")
-        if self.kind == "perturbed" and (
-            self.epsilon is None or self.measured_error is None
-        ):
-            raise ValueError("perturbed fields must report their error levels")
+        if self.kind == "perturbed" and self.epsilon is None:
+            raise ValueError("perturbed fields must report their error level")
 
     def evaluate(self, x) -> np.ndarray:
         return self.fn(x)
@@ -418,16 +415,13 @@ def perturb_score(
     if raw < 1e-16:
         raise ValueError("perturbation field is degenerate on this target")
     scale = epsilon / math.sqrt(raw)
-    measured = scale * math.sqrt(_mean_square(field, model.sample(_MC_SAMPLES, rng)))
 
     def fn(x):
         X, single = _as_batch(x, d)
         out = model.score(X) + scale * field(X)
         return out[0] if single else out
 
-    return ScoreField(
-        fn=fn, kind="perturbed", epsilon=float(epsilon), measured_error=measured
-    )
+    return ScoreField(fn=fn, kind="perturbed", epsilon=float(epsilon))
 
 
 def _mean_square(field, X: np.ndarray) -> float:
@@ -485,6 +479,9 @@ class LmcConfig:
             raise ValueError("horizon must be nonnegative and finite")
         if self.chains < 1:
             raise ValueError("need at least one chain")
+        # a subnormal step can overflow the step count to infinity
+        if not self.horizon / self.step < math.inf:
+            raise ValueError("the step count must be finite")
         n = round(self.horizon / self.step)
         if abs(n * self.step - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer number of steps")

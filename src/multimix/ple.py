@@ -28,7 +28,6 @@ from .ising import (
     IsingModel,
     empirical_distribution,
     exact_distribution,
-    glauber_ensemble_continuous,
     sample_exact,
     states_matrix,
 )
@@ -96,13 +95,16 @@ class FitReport:
 
 @dataclass(frozen=True)
 class LearnReport:
-    """End-to-end pipeline outcome: fit quality and certified terminal error."""
+    """End-to-end pipeline outcome: fit quality and certified terminal error.
+
+    The terminal TV is always exact, so `exact` is always True.
+    """
 
     fit: FitReport
     horizon: float
     tv: float
     exact: bool
-    balance: BalanceStatistic | None
+    balance: BalanceStatistic
 
     def __post_init__(self):
         if not 0.0 <= self.tv <= 1.0 + 1e-12:
@@ -342,16 +344,20 @@ def trajectory_kl(truth: IsingModel, fitted: IsingModel, steps: int) -> float:
     return float(steps * (pi @ one))
 
 
+def _check_certifiable(n: int) -> None:
+    if n > MAX_CERTIFY_SPINS:
+        raise CapacityError(
+            f"exact certification supports up to {MAX_CERTIFY_SPINS} spins, got {n}"
+        )
+
+
 def certify_terminal_tv(
     fitted: IsingModel, truth: IsingModel, mu0: FiniteDistribution, horizon: float
 ) -> float:
     """Exact TV between the fitted chain's law at the horizon, started from
     mu0, and the truth's stationary law, via the semigroup action of the
     fitted generator."""
-    if truth.n > MAX_CERTIFY_SPINS:
-        raise CapacityError(
-            f"exact certification supports up to {MAX_CERTIFY_SPINS} spins, got {truth.n}"
-        )
+    _check_certifiable(truth.n)
     gen = build_glauber_generator(exact_distribution(fitted))
     terminal = evolve_distribution(gen, mu0, horizon)
     return tv_distance(terminal, exact_distribution(truth))
@@ -362,34 +368,23 @@ def learn_and_sample(
 ) -> LearnReport:
     """Fit from samples, start Glauber from fresh data, certify terminal TV.
 
-    Exact certification (semigroup action of the fitted generator applied
-    to the empirical initialization, compared against the true stationary
-    law) runs for n <= 10. Larger models fall back to a Monte Carlo TV
-    estimate over the initialization replicas and come back flagged
-    exact=False with no balance data.
+    The terminal TV is `certify_terminal_tv` from the empirical law of the
+    initialization, and the balance statistic comes from the fitted
+    generator's bottom eigenpairs. Both are exact, so a truth above
+    MAX_CERTIFY_SPINS raises CapacityError before anything is drawn or fitted.
     """
     if m_fit < 1 or m_init < 1:
         raise ValueError("need at least one fitting and one initialization sample")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
+    _check_certifiable(truth.n)
     fit_set = SampleSet(sample_exact(truth, m_fit, cfg.seed))
     report = fit(fit_set, cfg)
     eps = conditional_kl_diagnostic(truth, report.model, fit_set)
     report = replace(report, epsilon_hat=eps)
     init = sample_exact(truth, m_init, cfg.seed + 1)
-    pi_truth = exact_distribution(truth)
-    if truth.n <= MAX_CERTIFY_SPINS:
-        mu0 = empirical_distribution(init, truth.n)
-        gen = build_glauber_generator(exact_distribution(report.model))
-        bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
-        terminal = evolve_distribution(gen, mu0, horizon)
-        return LearnReport(
-            fit=report,
-            horizon=horizon,
-            tv=tv_distance(terminal, pi_truth),
-            exact=True,
-            balance=bal,
-        )
-    finals = glauber_ensemble_continuous(report.model, init, horizon, cfg.seed + 2)
-    tv = tv_distance(empirical_distribution(finals, truth.n), pi_truth)
-    return LearnReport(fit=report, horizon=horizon, tv=tv, exact=False, balance=None)
+    gen = build_glauber_generator(exact_distribution(report.model))
+    bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
+    mu0 = empirical_distribution(init, truth.n)
+    tv = certify_terminal_tv(report.model, truth, mu0, horizon)
+    return LearnReport(fit=report, horizon=horizon, tv=tv, exact=True, balance=bal)

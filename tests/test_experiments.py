@@ -5,7 +5,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from multimix.errors import ParseError
 from multimix.experiments import (
@@ -14,7 +16,9 @@ from multimix.experiments import (
     PARAMETERS,
     ExperimentConfig,
     ResultRow,
+    _bimodal_fixture,
     _parse_config,
+    _projection_tv,
     run,
 )
 from multimix.ising import curie_weiss, dump_ising_model, exact_distribution
@@ -259,6 +263,17 @@ def test_capacity_exits_3_and_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fewer_than_one_thread_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    p = write_config(tmp_path, [{"name": "cw-gap-scaling", "seeds": [0]}])
+    for threads in (0, -1):
+        assert run(p, threads=threads) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_failed_requirement_exits_1_but_writes_results(tmp_path):
     p = write_config(
         tmp_path,
@@ -463,6 +478,23 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
 # --- catalog: samplers ----------------------------------------------------
 
 
+def test_projection_tv_counts_a_point_on_an_outer_edge_once():
+    # bins are closed on the left; the outer bins take x < -9 and x >= 9
+    model = _bimodal_fixture()
+    x = np.array([9.0, 0.3, -9.0, 12.0, -12.0, 8.7])
+    edges = np.linspace(-9.0, 9.0, 61)
+    counts = np.zeros(62)
+    for v in x:
+        counts[int((edges <= v).sum())] += 1
+    # modes at -5 and +5 with unit variance, weight 1/2 each
+    grid = np.concatenate([[-np.inf], edges, [np.inf]])
+    exact = 0.5 * np.diff(ndtr(grid + 5.0)) + 0.5 * np.diff(ndtr(grid - 5.0))
+    expected = 0.5 * np.abs(counts / x.size - exact).sum()
+    got = _projection_tv(x[:, None], model)
+    assert got <= 1.0
+    assert got == pytest.approx(expected, abs=1e-15)
+
+
 def test_langevin_metastability_small_run(tmp_path):
     p = write_config(
         tmp_path,
@@ -555,21 +587,19 @@ def test_learn_ising_e2e_single_seed(tmp_path):
     p = write_config(tmp_path, [{"name": "learn-ising-e2e", "seeds": [0], "params": {}}])
     assert run(p) == 0
     rows = read_rows(tmp_path / "r.csv")
+    assert [r[2] for r in rows] == ["epsilon_hat", "terminal_tv", "balance", "converged"]
     label = "n=8 m_fit=20000 seed=0"
     assert metric(rows, "epsilon_hat", label)[0] <= 0.01
     assert metric(rows, "terminal_tv", label)[0] <= 0.15
     assert metric(rows, "converged", label)[0] == 1.0
 
 
-def test_learn_ising_e2e_above_certification_cap_has_no_balance_row(tmp_path):
-    # n = 11 takes the Monte Carlo route of learn_and_sample, which has no
-    # balance statistic to report; at this sample size the TV verdict fails
-    params = {"n": 11, "m_fit": 500, "m_init": 200, "horizon": 2.0}
-    p = write_config(tmp_path, [{"name": "learn-ising-e2e", "seeds": [0], "params": params}])
-    assert run(p) == 1
-    rows = read_rows(tmp_path / "r.csv")
-    assert [r[2] for r in rows] == ["epsilon_hat", "terminal_tv", "converged"]
-    assert {r[1] for r in rows} == {"n=11 m_fit=500 seed=0"}
+def test_learn_ising_e2e_above_certification_cap_exits_3(tmp_path, capsys):
+    # n = 11 is past exact certification, and there is no estimate in its place
+    p = write_config(tmp_path, [{"name": "learn-ising-e2e", "seeds": [0], "params": {"n": 11}}])
+    assert run(p) == 3
+    assert "up to 10 spins, got 11" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # --- shipped fixtures -----------------------------------------------------

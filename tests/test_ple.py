@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multimix import CapacityError, FiniteDistribution, SampleSet, tv_distance
+from multimix import CapacityError, FiniteDistribution, SampleSet, ple, tv_distance
 from multimix.ising import (
     IsingModel,
     exact_distribution,
@@ -593,7 +593,7 @@ def test_certification_at_stationarity_is_zero():
 
 
 def test_certification_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="up to 10 spins, got 11"):
         certify_terminal_tv(zero_model(11), zero_model(11), None, 1.0)
 
 
@@ -615,20 +615,16 @@ def test_learn_and_sample_rank_one_fixture():
     assert starved.tv > report.tv  # observed 0.195 vs 0.014
 
 
-def test_learn_and_sample_monte_carlo_fallback():
-    truth = random_model(21, 12, coupling=0.2, field=0.0)
-    report = learn_and_sample(
-        truth, 4000, 3000, PleConfig(radius=1.5, seed=5, max_iters=400), horizon=3.0
-    )
-    assert not report.exact
-    assert report.balance is None
-    assert 0.0 <= report.tv <= 1.0
+def test_learn_and_sample_guards(monkeypatch):
+    # above the certification cap it refuses as certify_terminal_tv does,
+    # before any draw or fit
+    def untouchable(*args, **kwargs):
+        pytest.fail("drew or fitted above the certification cap")
 
-
-def test_learn_and_sample_guards():
-    # sampling the truth enumerates its states, which caps n at 20
-    for n in (21, 22):
-        with pytest.raises(CapacityError):
+    monkeypatch.setattr(ple, "fit", untouchable)
+    monkeypatch.setattr(ple, "sample_exact", untouchable)
+    for n in (11, 21, 22):
+        with pytest.raises(CapacityError, match=f"up to 10 spins, got {n}"):
             learn_and_sample(zero_model(n), 10, 10, PleConfig(radius=1.0), horizon=1.0)
     with pytest.raises(ValueError):
         learn_and_sample(zero_model(5), 0, 10, PleConfig(radius=1.0), horizon=1.0)
