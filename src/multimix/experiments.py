@@ -185,11 +185,15 @@ def _bimodal_fixture() -> MixtureModel:
     )
 
 
-def _projection_tv(samples: np.ndarray, model: MixtureModel, bins: int = 60) -> float:
+def _projection_tv(
+    samples: np.ndarray, model: MixtureModel, chains: int | None = None, bins: int = 60
+) -> float:
     """TV between the terminal first-coordinate histogram and the exact
     mixture law on the same bins. Every bin is closed on the left and open
     on the right, and the two outer bins absorb the tails, so each point
-    lands in exactly one bin."""
+    lands in exactly one bin. Counts are divided by `chains` (by default the
+    number of samples), so chains left out of `samples` count as mass
+    missing from every bin."""
     edges = np.linspace(-9.0, 9.0, bins + 1)
     x = samples[:, 0]
     counts = np.bincount(np.searchsorted(edges, x, side="right"), minlength=edges.size + 1)
@@ -197,7 +201,7 @@ def _projection_tv(samples: np.ndarray, model: MixtureModel, bins: int = 60) -> 
     for w, comp in zip(model.weights, model.components):
         cdf = ndtr((edges - comp.mean[0]) / math.sqrt(comp.cov[0, 0]))
         exact += w * np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    return 0.5 * float(np.abs(counts / x.size - exact).sum())
+    return 0.5 * float(np.abs(counts / (x.size if chains is None else chains) - exact).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +213,12 @@ def _flatten(groups) -> list[ResultRow]:
 
 
 def _data_started_tv(model: MixtureModel, score, seed: int, step, horizon, chains) -> float:
-    """Projection TV of LMC started from 500 stationary draws of `model`."""
+    """Projection TV of LMC started from 500 stationary draws of `model`. A
+    chain flagged by the divergence guard is left out of the histogram but
+    not out of the chain count, so its mass counts as missing."""
     init = sample_mixture(model, 500, seed + 11)
     res = lmc_run(init, score, LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains))
-    return _projection_tv(res.samples.data, model)
+    return _projection_tv(res.samples.data[~res.flagged], model, res.chains)
 
 
 def _hs_certificate(experiment: str, label: str, model, c: float):

@@ -432,8 +432,9 @@ def exact_mixture_refinement(pi: FiniteDistribution, weights, components):
         raise ValueError(
             "sandwich certificate fails: the density ratio is too wide for the gap transfer"
         )
-    ratio = pi.probs / pi2
-    tilted = stack * ratio
+    # the stack is not read again untilted, so it is tilted in place
+    tilted = stack
+    tilted *= pi.probs / pi2
     masses = tilted.sum(axis=1)
     q = weights * masses
     q /= q.sum()

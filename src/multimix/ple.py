@@ -34,6 +34,7 @@ from .ising import (
 from .measures import FiniteDistribution, SampleSet, tv_distance
 from .spectral import (
     BalanceStatistic,
+    GeneratorMatrix,
     balance_statistic,
     build_glauber_generator,
     eigendecompose,
@@ -358,7 +359,13 @@ def certify_terminal_tv(
     mu0, and the truth's stationary law, via the semigroup action of the
     fitted generator."""
     _check_certifiable(truth.n)
-    gen = build_glauber_generator(exact_distribution(fitted))
+    return _terminal_tv(build_glauber_generator(exact_distribution(fitted)), truth, mu0, horizon)
+
+
+def _terminal_tv(
+    gen: GeneratorMatrix, truth: IsingModel, mu0: FiniteDistribution, horizon: float
+) -> float:
+    """`certify_terminal_tv` given the fitted chain's generator."""
     terminal = evolve_distribution(gen, mu0, horizon)
     return tv_distance(terminal, exact_distribution(truth))
 
@@ -369,9 +376,10 @@ def learn_and_sample(
     """Fit from samples, start Glauber from fresh data, certify terminal TV.
 
     The terminal TV is `certify_terminal_tv` from the empirical law of the
-    initialization, and the balance statistic comes from the fitted
-    generator's bottom eigenpairs. Both are exact, so a truth above
-    MAX_CERTIFY_SPINS raises CapacityError before anything is drawn or fitted.
+    initialization, and the balance statistic comes from the bottom
+    eigenpairs of the same fitted generator, built once for both. Both are
+    exact, so a truth above MAX_CERTIFY_SPINS raises CapacityError before
+    anything is drawn or fitted.
     """
     if m_fit < 1 or m_init < 1:
         raise ValueError("need at least one fitting and one initialization sample")
@@ -386,5 +394,5 @@ def learn_and_sample(
     gen = build_glauber_generator(exact_distribution(report.model))
     bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
     mu0 = empirical_distribution(init, truth.n)
-    tv = certify_terminal_tv(report.model, truth, mu0, horizon)
+    tv = _terminal_tv(gen, truth, mu0, horizon)
     return LearnReport(fit=report, horizon=horizon, tv=tv, exact=True, balance=bal)

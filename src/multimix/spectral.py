@@ -32,6 +32,9 @@ _patterns: dict = {}
 _cubes: dict = {}
 _harmonics: dict = {}
 
+# eigenvectors are checked, scaled and sign-fixed this many columns at a time
+_COLUMN_BLOCK = 64
+
 
 def _as_distribution(mu0, m: int) -> FiniteDistribution:
     """Accept either a distribution or a batch of spin samples."""
@@ -129,6 +132,12 @@ class Spectrum:
     fails these checks. Columns are sign-fixed: the entry of largest
     magnitude is positive. Two spectra are equal when their laws, eigenvalues
     and eigenfunctions agree exactly.
+
+    The constructor stores read-only copies of the arrays it is given.
+    ``eigendecompose`` instead hands over the buffers it built and no one
+    else holds (``_adopt``), which skips that m x k copy; both run the same
+    checks. The checks hold F, the pi-scaled copy of F and the k x k Gram
+    at once: three m x k buffers for a full spectrum.
     """
 
     eigenvalues: np.ndarray
@@ -136,8 +145,21 @@ class Spectrum:
     pi: FiniteDistribution
 
     def __post_init__(self):
-        w = _readonly(self.eigenvalues)
-        F = _readonly(self.eigenfunctions)
+        self._check(_readonly(self.eigenvalues), _readonly(self.eigenfunctions))
+
+    @classmethod
+    def _adopt(cls, w: np.ndarray, F: np.ndarray, pi: FiniteDistribution) -> "Spectrum":
+        """A spectrum over float arrays that the caller built and hands
+        over: they are made read-only, not copied, and checked as the
+        constructor checks them."""
+        w.setflags(write=False)
+        F.setflags(write=False)
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "pi", pi)
+        spec._check(w, F)
+        return spec
+
+    def _check(self, w: np.ndarray, F: np.ndarray) -> None:
         if w.ndim != 1 or w.size < 1:
             raise ValueError("need at least one eigenvalue")
         if F.shape != (self.pi.m, w.size):
@@ -150,9 +172,12 @@ class Spectrum:
             raise ValueError(f"bottom eigenvalue {w[0]!r} is not 0 within 1e-8")
         if not w.min() >= -1e-8:
             raise ValueError("negative relaxation rate")
-        # a Gram of one operand with itself, which numpy hands to BLAS syrk
+        # a Gram of one operand with itself, which numpy hands to BLAS syrk;
+        # the deviation from I is formed in place
         G = F * np.sqrt(self.pi.probs)[:, None]
-        err = np.abs(G.T @ G - np.eye(w.size)).max()
+        G = G.T @ G
+        G.flat[:: w.size + 1] -= 1.0
+        err = np.abs(G, out=G).max()
         if not err <= 1e-8:
             raise ValueError(f"eigenfunctions not pi-orthonormal: deviation {err!r}")
         if not np.abs(F[:, 0] - 1.0).max() <= 1e-6:
@@ -502,7 +527,9 @@ def _split_eigh(A: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarr
     the even eigenvectors are [u; R u] / sqrt 2 for the eigenvectors u of
     B + C R, the odd ones [u; -R u] / sqrt 2 for those of B - C R. Each half
     gives its bottom min(k, h) pairs and a stable sort merges them, even
-    before odd on ties.
+    before odd on ties, so each half contributes a leading block of its
+    ascending columns. Those are scaled in place and written straight into
+    the column-major m x k result.
     """
     h = A.shape[0] // 2
     top = A[:h].toarray(order="F")
@@ -513,8 +540,18 @@ def _split_eigh(A: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarr
     )
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")[:k]
-    u = np.hstack([u_even, u_odd])[:, order] * math.sqrt(0.5)
-    return w[order], np.vstack([u, u[::-1] * np.where(order < w_even.size, 1.0, -1.0)])
+    even = order < w_even.size
+    v = np.empty((2 * h, k), order="F")
+    for u, sign, cols in (
+        (u_even, 1.0, np.flatnonzero(even)),
+        (u_odd, -1.0, np.flatnonzero(~even)),
+    ):
+        u = u[:, : cols.size]
+        u *= math.sqrt(0.5)
+        v[:h, cols] = u
+        u *= sign
+        v[h:, cols] = u[::-1]
+    return w[order], v
 
 
 def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
@@ -546,6 +583,12 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     ||A v - lambda v|| (equal to the pi-norm of the eigenfunction residual)
     are checked against 1e-7 with the sparse A, and Spectrum checks
     pi-orthonormality.
+
+    Working memory: each route returns a column-major m x k eigenvector
+    array of its own, which is checked, scaled and sign-fixed in place,
+    column block by column block, and handed to the Spectrum without a copy.
+    The peak is about three m x k buffers, held while Spectrum checks
+    orthonormality; the dense route's LAPACK call holds as much.
     """
     m = gen.m
     k = m if k_max is None else int(k_max)
@@ -553,26 +596,30 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
         raise ValueError(f"k_max must lie in 1..{m}, got {k_max}")
     levels = _exchangeable_levels(gen.A)
     if levels is not None:
-        w, v = _sector_eigh(*levels, k)
+        w, F = _sector_eigh(*levels, k)
     elif m % 2 == 0 and _reversal_symmetric(gen.A):
-        w, v = _split_eigh(gen.A, k)
+        w, F = _split_eigh(gen.A, k)
     else:
-        w, v = _eigh(gen.A.toarray(order="F"), k)
-    resid = gen.A @ v - v * w[None, :]
-    worst = float(np.sqrt((resid**2).sum(axis=0)).max())
-    if not worst <= 1e-7:
-        raise ValueError(f"eigenpair residual {worst!r} exceeds 1e-7")
-    F = v / np.sqrt(gen.pi.probs)[:, None]
-    # deterministic signs: largest-magnitude entry of each column positive
-    lead = np.abs(F).argmax(axis=0)
-    F *= np.where(F[lead, np.arange(k)] < 0.0, -1.0, 1.0)[None, :]
-    w = w.copy()
+        w, F = _eigh(gen.A.toarray(order="F"), k)
+    sq = np.sqrt(gen.pi.probs)[:, None]
+    for start in range(0, k, _COLUMN_BLOCK):
+        cols = slice(start, start + _COLUMN_BLOCK)
+        v = F[:, cols]
+        resid = gen.A @ v - v * w[None, cols]
+        worst = float(np.sqrt((resid**2).sum(axis=0)).max())
+        if not worst <= 1e-7:
+            raise ValueError(f"eigenpair residual {worst!r} exceeds 1e-7")
+        # the eigenfunctions D^{-1/2} v, with deterministic signs: the
+        # largest-magnitude entry of each column positive
+        v /= sq
+        lead = np.abs(v).argmax(axis=0)
+        v *= np.where(v[lead, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)[None, :]
     if abs(w[0]) <= 1e-8:
         # the kernel of A is exactly sqrt(pi), so the bottom eigenfunction is
         # the constant; writing it down beats dividing noise by tiny sqrt(pi)
         w[0] = 0.0
         F[:, 0] = 1.0
-    return Spectrum(eigenvalues=w, eigenfunctions=F, pi=gen.pi)
+    return Spectrum._adopt(w, F, gen.pi)
 
 
 def higher_order_gap(spectrum: Spectrum, k: int) -> float:

@@ -1,6 +1,22 @@
-"""Prints a one-line verdict per acceptance criterion after the run."""
+"""Prints a one-line verdict per acceptance criterion after the run, and
+holds helpers the test modules share."""
 
 import re
+import tracemalloc
+
+
+def peak_traced_bytes(fn):
+    """Call fn() under tracemalloc; return its result and the peak bytes
+    traced during the call (numpy reports its array buffers to tracemalloc).
+    """
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_c(\d\d)_")
 

@@ -17,11 +17,13 @@ from multimix.experiments import (
     ExperimentConfig,
     ResultRow,
     _bimodal_fixture,
+    _data_started_tv,
     _parse_config,
     _projection_tv,
     run,
 )
 from multimix.ising import curie_weiss, dump_ising_model, exact_distribution
+from multimix.langevin import LmcConfig, ScoreField, lmc_run, sample_mixture
 from multimix.spectral import build_glauber_generator
 
 
@@ -478,21 +480,43 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
 # --- catalog: samplers ----------------------------------------------------
 
 
-def test_projection_tv_counts_a_point_on_an_outer_edge_once():
-    # bins are closed on the left; the outer bins take x < -9 and x >= 9
-    model = _bimodal_fixture()
-    x = np.array([9.0, 0.3, -9.0, 12.0, -12.0, 8.7])
+def bimodal_projection_tv(x: np.ndarray, chains: int) -> tuple[float, np.ndarray]:
+    # the projection TV against the bimodal fixture (modes at -5 and +5 with
+    # unit variance, weight 1/2 each), bin by bin in a loop; bins are closed
+    # on the left and the outer bins take x < -9 and x >= 9. Returns the TV
+    # and the bin counts.
     edges = np.linspace(-9.0, 9.0, 61)
     counts = np.zeros(62)
     for v in x:
         counts[int((edges <= v).sum())] += 1
-    # modes at -5 and +5 with unit variance, weight 1/2 each
     grid = np.concatenate([[-np.inf], edges, [np.inf]])
     exact = 0.5 * np.diff(ndtr(grid + 5.0)) + 0.5 * np.diff(ndtr(grid - 5.0))
-    expected = 0.5 * np.abs(counts / x.size - exact).sum()
-    got = _projection_tv(x[:, None], model)
+    return 0.5 * np.abs(counts / chains - exact).sum(), counts
+
+
+def test_projection_tv_counts_a_point_on_an_outer_edge_once():
+    x = np.array([9.0, 0.3, -9.0, 12.0, -12.0, 8.7])
+    expected, _ = bimodal_projection_tv(x, x.size)
+    got = _projection_tv(x[:, None], _bimodal_fixture())
     assert got <= 1.0
     assert got == pytest.approx(expected, abs=1e-15)
+
+
+def test_data_started_tv_counts_diverged_chains_as_missing_mass():
+    # a drift of 1e12 on the right half line throws those chains past the
+    # divergence guard at the first step; they stay out of every bin
+    model = _bimodal_fixture()
+    score = ScoreField(fn=lambda x: np.where(x > 0.0, 1e12, model.score(x)), kind="exact")
+    tv = _data_started_tv(model, score, 0, 0.01, 0.05, 400)
+    cfg = LmcConfig(step=0.01, horizon=0.05, seed=0, chains=400)
+    res = lmc_run(sample_mixture(model, 500, 11), score, cfg)
+    assert 0 < res.flagged.sum() < res.chains
+    expected, counts = bimodal_projection_tv(res.samples.data[~res.flagged, 0], res.chains)
+    assert tv == pytest.approx(expected, abs=1e-15)
+    # the diverged mass is missing from every bin, the top one included,
+    # so it adds at least half of itself to the TV
+    assert counts[-1] == 0.0
+    assert tv >= 0.5 * res.flagged.mean()
 
 
 def test_langevin_metastability_small_run(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from multimix import CapacityError, FiniteDistribution, SampleSet, ple, tv_distance
 from multimix.ising import (
     IsingModel,
+    empirical_distribution,
     exact_distribution,
     low_rank_ising,
     sample_exact,
@@ -37,7 +38,12 @@ from multimix.ple import (
     trajectory_kl,
 )
 from multimix.rng import make_rng
-from multimix.spectral import build_glauber_generator, evolve_distribution
+from multimix.spectral import (
+    balance_statistic,
+    build_glauber_generator,
+    eigendecompose,
+    evolve_distribution,
+)
 from scipy.special import expit, log_expit, rel_entr
 
 
@@ -613,6 +619,30 @@ def test_learn_and_sample_rank_one_fixture():
         truth, 100, 2000, PleConfig(radius=radius, seed=0), horizon=25.0
     )
     assert starved.tv > report.tv  # observed 0.195 vs 0.014
+
+
+def test_learn_and_sample_builds_the_fitted_generator_once(monkeypatch):
+    truth = low_rank_ising(6, 1, [1.5], 0.2, seed=4)
+    cfg = PleConfig(radius=float(row_norms(truth).max()), seed=0)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_glauber_generator(*args, **kwargs)
+
+    monkeypatch.setattr(ple, "build_glauber_generator", counting)
+    report = learn_and_sample(truth, 2000, 500, cfg, horizon=5.0)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    # the report is what the public pieces give, each building its own
+    # generator
+    init = sample_exact(truth, 500, cfg.seed + 1)
+    tv = certify_terminal_tv(report.fit.model, truth, empirical_distribution(init, 6), 5.0)
+    assert report.tv == tv
+    gen = build_glauber_generator(exact_distribution(report.fit.model))
+    bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
+    assert report.balance.value == bal.value
+    assert np.array_equal(report.balance.coefficients, bal.coefficients)
 
 
 def test_learn_and_sample_guards(monkeypatch):

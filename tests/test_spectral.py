@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +10,8 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from conftest import peak_traced_bytes
 
 from multimix import (
     CapacityError,
@@ -204,12 +205,7 @@ def test_generator_build_memory_is_linear_in_nnz():
     # a dense 2^14-state build allocates 2 GB; the CSR build holds 15
     # entries per row
     pi = exact_distribution(curie_weiss(14, 1.5))
-    tracemalloc.start()
-    try:
-        gen = build_glauber_generator(pi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    gen, peak = peak_traced_bytes(lambda: build_glauber_generator(pi))
     assert gen.A.nnz == 15 << 14
     assert peak < 64 << 20
 
@@ -416,6 +412,85 @@ def test_eigendecompose_route_pin(law, q, route):
         assert_matches_dense(oracle, spec, 1e-12)
 
 
+def route_law(route: str, n: int) -> FiniteDistribution:
+    # one spin law on n sites per route of eigendecompose
+    if route == "sector":
+        return exact_distribution(curie_weiss(n, 1.5))
+    if route == "split":
+        return exact_distribution(low_rank_ising(n, 2, [1.5, 1.3], 0.2, seed=4))
+    return exact_distribution(IsingModel(curie_weiss(n, 1.5).J, np.linspace(0.05, 0.15, n)))
+
+
+def reference_eigendecompose(gen: GeneratorMatrix, route: str, k: int):
+    # the split assembly and the post-processing eigendecompose ran before
+    # it worked in one buffer, kept as its bitwise oracle: the halves are
+    # stacked by hstack/vstack, the eigenfunctions are a scaled copy of the
+    # eigenvectors, the sign rule takes |F| whole
+    if route == "sector":
+        w, v = spectral._sector_eigh(*spectral._exchangeable_levels(gen.A), k)
+    elif route == "split":
+        h = gen.m // 2
+        top = gen.A[:h].toarray(order="F")
+        mirror = top[:, h:][:, ::-1]
+        (w_even, u_even), (w_odd, u_odd) = (
+            spectral._eigh(top[:, :h] + mirror, min(k, h)),
+            spectral._eigh(top[:, :h] - mirror, min(k, h)),
+        )
+        w = np.concatenate([w_even, w_odd])
+        order = np.argsort(w, kind="stable")[:k]
+        u = np.hstack([u_even, u_odd])[:, order] * math.sqrt(0.5)
+        w = w[order]
+        v = np.vstack([u, u[::-1] * np.where(order < w_even.size, 1.0, -1.0)])
+    else:
+        w, v = spectral._eigh(gen.A.toarray(order="F"), k)
+    F = v / np.sqrt(gen.pi.probs)[:, None]
+    lead = np.abs(F).argmax(axis=0)
+    F *= np.where(F[lead, np.arange(k)] < 0.0, -1.0, 1.0)[None, :]
+    w = w.copy()
+    if abs(w[0]) <= 1e-8:
+        w[0] = 0.0
+        F[:, 0] = 1.0
+    return w, F
+
+
+@pytest.mark.parametrize("route", ["sector", "split", "whole"])
+def test_eigendecompose_matches_the_copying_reference_bitwise(route):
+    # m = 256: the full spectrum spans several column blocks
+    gen = build_glauber_generator(route_law(route, 8))
+    for k in (3, gen.m):
+        spec, seen = dense_calls(gen, k)
+        assert seen == {"sector": [], "split": [128, 128], "whole": [256]}[route]
+        w, F = reference_eigendecompose(gen, route, k)
+        assert np.array_equal(spec.eigenvalues, w)
+        assert np.array_equal(spec.eigenfunctions, F)
+        assert spec.eigenfunctions.flags.f_contiguous
+
+
+@pytest.mark.parametrize("route", ["sector", "split", "whole"])
+def test_full_eigendecompose_peaks_at_three_eigenvector_buffers(route):
+    # the eigenvectors, their pi-scaled copy and the k x k Gram of the
+    # orthonormality check; LAPACK's divide and conquer holds as much
+    gen = build_glauber_generator(route_law(route, 10))
+    eigendecompose(gen, 2)  # builds the shared sector structure
+    spec, peak = peak_traced_bytes(lambda: eigendecompose(gen))
+    assert spec.is_full
+    assert peak <= 3.5 * 8 * gen.m**2
+
+
+def test_eigenpair_residual_check_covers_every_column_block():
+    gen = build_glauber_generator(exact_distribution(CW9))
+
+    def broken(*args):
+        w, v = sector_eigh(*args)
+        v[5, 70] = np.nan  # in the second block of columns
+        return w, v
+
+    sector_eigh = spectral._sector_eigh
+    with mock.patch.object(spectral, "_sector_eigh", broken):
+        with pytest.raises(ValueError, match="residual"):
+            eigendecompose(gen)
+
+
 @pytest.fixture
 def cold_caches(monkeypatch):
     # every shared structure is rebuilt on first use in the test
@@ -528,6 +603,27 @@ def test_spectrum_rejects_a_nan_eigenfunction_entry():
     F[3, 2] = np.nan
     with pytest.raises(ValueError, match="orthonormal"):
         Spectrum(spec.eigenvalues, F, spec.pi)
+    # an adopted buffer goes through the same checks
+    with pytest.raises(ValueError, match="orthonormal"):
+        Spectrum._adopt(spec.eigenvalues.copy(), F, spec.pi)
+    w = spec.eigenvalues.copy()
+    w[0] = np.nan
+    with pytest.raises(ValueError, match="ascend"):
+        Spectrum._adopt(w, spec.eigenfunctions.copy(), spec.pi)
+
+
+def test_spectrum_constructor_copies_and_adopted_arrays_are_read_only():
+    spec = eigendecompose(build_glauber_generator(exact_distribution(curie_weiss(5, 1.0))))
+    for arr in (spec.eigenvalues, spec.eigenfunctions):
+        assert not arr.flags.writeable
+    w, F = spec.eigenvalues.copy(), spec.eigenfunctions.copy()
+    built = Spectrum(w, F, spec.pi)
+    assert built == spec
+    w[1] += 1.0
+    F[:, 1] *= -1.0
+    assert built == spec
+    with pytest.raises(ValueError):
+        spec.eigenfunctions[0, 0] = 2.0
 
 
 def test_spectrum_equality_compares_entries():
