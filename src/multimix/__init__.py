@@ -36,7 +36,6 @@ from .langevin import (
     LmcResult,
     MixtureModel,
     ScoreField,
-    SoftplusComponent,
     dump_mixture,
     exact_score,
     lmc_run,

@@ -532,12 +532,20 @@ def _check_rule(rule: dict) -> None:
     numeric `min`/`max` bounds; any other key is refused, not ignored."""
     if not isinstance(rule.get("metric"), str):
         raise ParseError(f"require rule {rule!r} names no 'metric'")
-    unknown = set(rule) - {"metric", "parameters", "min", "max"}
-    if unknown:
-        raise ParseError(f"require rule {rule!r} has unknown key(s) {sorted(unknown)}")
+    _check_keys(rule, {"metric", "parameters", "min", "max"}, f"require rule {rule!r}")
     for key in ("min", "max"):
         if key in rule and (type(rule[key]) not in (int, float) or math.isnan(rule[key])):
             raise ParseError(f"require rule {rule!r}: {key!r} must be a number")
+
+
+def _check_keys(obj: dict, known: set, where: str) -> None:
+    """Refuse a key outside `known`: a misspelt key would otherwise be
+    dropped and the run go on with the defaults."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ParseError(
+            f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; known: {sorted(known)}"
+        )
 
 
 def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
@@ -547,6 +555,7 @@ def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "experiments" not in raw:
         raise ParseError("config must be an object with an 'experiments' list")
+    _check_keys(raw, {"out", "experiments"}, "config")
     if not isinstance(raw["experiments"], list):
         raise ParseError("'experiments' must be a list")
     out = raw.get("out", "results.csv")
@@ -556,6 +565,7 @@ def _parse_config(text: str) -> tuple[list[ExperimentConfig], str]:
     for entry in raw["experiments"]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ParseError("each experiment needs at least a 'name'")
+        _check_keys(entry, {"name", "seeds", "params", "require"}, f"experiment {entry['name']!r}")
         seeds = entry.get("seeds", [])
         if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
             raise ParseError("experiment seeds must be a list of integers")

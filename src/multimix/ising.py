@@ -356,6 +356,8 @@ def glauber_ensemble_continuous(
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise ValueError(f"replica matrix has shape {X.shape}, expected (R, {model.n})")
+    if not np.all(np.abs(X) == 1.0):
+        raise ValueError("replica starts must be +-1 valued")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon must be finite and >= 0, got {T!r}")
     rng = make_rng(seed, "glauber")

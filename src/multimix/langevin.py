@@ -1,7 +1,6 @@
 """Continuous-space mixture targets with exact scores and discretized Langevin.
 
-The targets are finite mixtures of smooth strongly log-concave components
-(Gaussians, optionally tilted by a convex softplus ramp). All regularity
+The targets are finite mixtures of Gaussian components. All regularity
 numbers attached to a mixture are exact rather than estimated: smoothness is
 read off precision spectra, the strong-convexity floor likewise, and the
 separation scale is the largest distance between component means.
@@ -15,9 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .errors import ParseError
 from .measures import SampleSet, _header, _logsumexp, _numbers, _row
@@ -103,10 +99,6 @@ class GaussianComponent:
     def dim(self) -> int:
         return self.mean.size
 
-    @property
-    def mode(self) -> np.ndarray:
-        return self.mean
-
     def potential(self, X: np.ndarray) -> np.ndarray:
         return self._potential_at(X - self.mean)
 
@@ -127,118 +119,16 @@ class GaussianComponent:
         return self.mean + np.dot(rng.standard_normal((count, self.dim)), self._chol.T)
 
 
-class SoftplusComponent:
-    """Gaussian tilted by a one-directional softplus ramp.
-
-    The density is proportional to exp(-z'Pz/2 - strength*softplus(w'z)) with
-    z the offset from the center. The ramp is convex, so the component keeps
-    the Gaussian's strong-convexity floor while its smoothness grows by at
-    most strength*|w|^2/4 (the softplus second derivative peaks at 1/4).
-    Normalizer and mean reduce to one-dimensional integrals over the marginal
-    of w'z, which is all the quadrature this class ever needs.
-    """
-
-    def __init__(self, center, cov, tilt, strength: float):
-        self._build(GaussianComponent(center, cov), tilt, strength)
-
-    @classmethod
-    def _from_factor(cls, center, chol, tilt, strength: float) -> "SoftplusComponent":
-        comp = cls.__new__(cls)
-        comp._build(GaussianComponent._from_factor(center, chol), tilt, strength)
-        return comp
-
-    def _build(self, base: GaussianComponent, tilt, strength: float) -> None:
-        tilt = np.asarray(tilt, dtype=float).reshape(-1)
-        if tilt.size != base.dim:
-            raise ValueError("tilt direction has the wrong dimension")
-        strength = float(strength)
-        # negated comparisons, so that NaN and infinite values fail too
-        if not 0.0 < np.linalg.norm(tilt) < math.inf:
-            raise ValueError("tilt direction must be nonzero and finite")
-        if not 0.0 <= strength < math.inf:
-            raise ValueError("tilt strength must be nonnegative and finite")
-        self._base = base
-        self.center = base.mean
-        self.cov = base.cov
-        self.precision = base.precision
-        self._chol = base._chol
-        self.tilt = tilt
-        self.strength = strength
-        self._sig_w = base.cov @ tilt
-        self._s2 = float(tilt @ self._sig_w)
-        s = math.sqrt(self._s2)
-        a = strength
-
-        def tilted(z: float) -> float:
-            return math.exp(
-                -a * (math.log1p(math.exp(-abs(s * z))) + max(s * z, 0.0))
-                - 0.5 * z * z
-            ) / math.sqrt(2.0 * math.pi)
-
-        mass, _ = quad(tilted, -np.inf, np.inf)
-        shift, _ = quad(lambda z: s * z * tilted(z), -np.inf, np.inf)
-        self._log_norm = base._log_norm + math.log(mass)
-        self.mean = self.center + self._sig_w * (shift / mass / self._s2)
-        t_star = brentq(
-            lambda t: t + a * expit(t) * self._s2, -a * self._s2 - 1.0, 1.0
-        )
-        self.mode = self.center - a * expit(t_star) * self._sig_w
-        self.alpha = base.alpha
-        self.beta = base.beta + 0.25 * a * float(tilt @ tilt)
-        # inverse-CDF table for the tilted 1-D marginal of w'z
-        lo, hi = -a * self._s2 - 8.0 * s, 8.0 * s
-        grid = np.linspace(lo, hi, 4096)
-        dens = np.exp(
-            -a * np.logaddexp(0.0, grid) - 0.5 * (grid / s) ** 2
-        )
-        cdf = np.concatenate([[0.0], cumulative_trapezoid(dens, grid)])
-        self._cdf_grid = grid
-        self._cdf = cdf / cdf[-1]
-        for arr in (self.tilt, self.mean, self.mode, self._sig_w):
-            arr.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    def potential(self, X: np.ndarray) -> np.ndarray:
-        return self._potential_at(X - self.center)
-
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        return self._grad_at(X - self.center)
-
-    def _potential_at(self, z: np.ndarray) -> np.ndarray:
-        quad_part = self._base._potential_at(z) - self._base._log_norm
-        ramp = np.logaddexp(0.0, z @ self.tilt)
-        return quad_part + self.strength * ramp + self._log_norm
-
-    def _grad_at(self, z: np.ndarray) -> np.ndarray:
-        return np.dot(z, self.precision) + self.strength * expit(z @ self.tilt)[
-            :, None
-        ] * self.tilt
-
-    def _potential_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Potential and gradient at X from one offset X - center."""
-        z = X - self.center
-        return self._potential_at(z), self._grad_at(z)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        t = np.interp(rng.random(count), self._cdf, self._cdf_grid)
-        g = np.dot(rng.standard_normal((count, self.dim)), self._chol.T)
-        z = g + ((t - g @ self.tilt) / self._s2)[:, None] * self._sig_w
-        return self.center + z
-
-
 class MixtureModel:
-    """Weighted mixture of smooth components with exact score and regularity.
+    """Weighted mixture of Gaussian components with exact score and regularity.
 
     Weights must be positive and sum to one. The smoothness bound is the
     largest component smoothness, the convexity floor the smallest component
     floor, and the separation scale the largest distance between component
-    means (a declared bound may exceed it but never undercut it).
+    means.
     """
 
-    def __init__(self, weights, components: Sequence, separation: float | None = None):
+    def __init__(self, weights, components: Sequence):
         weights = np.asarray(weights, dtype=float).reshape(-1)
         components = tuple(components)
         if weights.size == 0 or weights.size != len(components):
@@ -252,19 +142,15 @@ class MixtureModel:
         if len(dims) != 1:
             raise ValueError("components must share one dimension")
         means = np.stack([c.mean for c in components])
-        largest = 0.0
+        separation = 0.0
         for i in range(len(components)):
             for j in range(i):
-                largest = max(largest, float(np.linalg.norm(means[i] - means[j])))
-        if separation is None:
-            separation = largest
-        elif largest > separation + 1e-9:
-            raise ValueError("mean separation exceeds the declared bound")
+                separation = max(separation, float(np.linalg.norm(means[i] - means[j])))
         weights.setflags(write=False)
         self.weights = weights
         self._log_weights = tuple(math.log(p) for p in weights)
         self.components = components
-        self.separation = float(separation)
+        self.separation = separation
         self.beta = max(c.beta for c in components)
         self.alpha = min(c.alpha for c in components)
 
@@ -275,19 +161,6 @@ class MixtureModel:
     @property
     def k(self) -> int:
         return len(self.components)
-
-    @property
-    def kappa(self) -> float:
-        return self.beta / self.alpha
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.stack([c.mode for c in self.components])
-
-    @property
-    def gradient_bound(self) -> float:
-        """Scale of the largest component gradient a stationary draw sees."""
-        return math.sqrt(self.beta * self.kappa * self.d) + self.beta * self.separation
 
     def _component_logs(self, potentials) -> np.ndarray:
         """log(weight_j) - potential_j, one row per component."""
@@ -309,18 +182,16 @@ class MixtureModel:
         X, single = _as_batch(x, self.d)
         if not np.isfinite(X).all():
             raise ValueError("score requested at a non-finite point")
-        if self.k == 1:
-            out = -self.components[0].grad(X)
-        else:
-            potentials, grads = zip(*(c._potential_and_grad(X) for c in self.components))
-            # posterior weights by an in-place softmax over the component axis
-            post = self._component_logs(potentials)
-            post -= post.max(axis=0)
-            np.exp(post, out=post)
-            post /= post.sum(axis=0)
-            out = -post[0][:, None] * grads[0]
-            for p, g in zip(post[1:], grads[1:]):
-                out -= p[:, None] * g
+        potentials, grads = zip(*(c._potential_and_grad(X) for c in self.components))
+        # posterior weights by an in-place softmax over the component axis;
+        # with one component they are exactly 1.0, so the score is exactly -grad
+        post = self._component_logs(potentials)
+        post -= post.max(axis=0)
+        np.exp(post, out=post)
+        post /= post.sum(axis=0)
+        out = -post[0][:, None] * grads[0]
+        for p, g in zip(post[1:], grads[1:]):
+            out -= p[:, None] * g
         return out[0] if single else out
 
     def max_gradient(self, x) -> np.ndarray | float:
@@ -392,8 +263,9 @@ def perturb_score(
     the mixture's footprint, the separation scale plus one component
     standard-deviation radius, so the field varies slowly where the mass
     sits."""
-    if not epsilon >= 0.0:
-        raise ValueError("perturbation size must be nonnegative")
+    # negated comparison, so that NaN fails too
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("perturbation size must be nonnegative and finite")
     if epsilon == 0.0:
         return exact_score(model)
     rng = make_rng(seed)
@@ -520,48 +392,42 @@ def lmc_run(init, score: ScoreField, cfg: LmcConfig) -> LmcResult:
     """Euler discretization of the overdamped Langevin diffusion.
 
     Every chain starts at a uniformly chosen row of the initialization (a
-    single point behaves as a one-row set), then takes cfg.steps moves of
-    x + step*s(x) + sqrt(2*step)*noise in lockstep. Noise is drawn for the
-    full ensemble each step, so a chain's path depends only on the seed and
-    the chain count, never on when other chains trip the guard.
+    SampleSet or an (n, d) array of rows; a 1-D array is a single point),
+    then takes cfg.steps moves of x + step*s(x) + sqrt(2*step)*noise in
+    lockstep. Noise is drawn for the full ensemble each step, so a chain's
+    path depends only on the seed and the chain count, never on when other
+    chains trip the guard.
     """
-    pool = init.data if isinstance(init, SampleSet) else None
-    if pool is None:
-        pool = np.asarray(init, dtype=float).reshape(1, -1)
+    pool = init.data if isinstance(init, SampleSet) else np.atleast_2d(np.asarray(init, float))
+    if pool.ndim != 2 or pool.shape[0] == 0:
+        raise ValueError(f"expected a point or a nonempty (n, d) array, got shape {pool.shape}")
     rng = make_rng(cfg.seed, "lmc")
-    x = pool[rng.integers(0, pool.shape[0], cfg.chains)].copy()
+    x = pool[rng.integers(0, pool.shape[0], cfg.chains)]
     flagged = np.zeros(cfg.chains, dtype=bool)
+    # every chain until one is flagged; a basic slice updates x in place
+    live = slice(None)
     spread = math.sqrt(2.0 * cfg.step)
     for _ in range(cfg.steps):
         noise = rng.standard_normal(x.shape)
-        if not flagged.any():
-            # fast path: same float association as the masked update below
-            x += cfg.step * np.asarray(score.evaluate(x))
-            x += spread * noise
-        else:
-            live = ~flagged
-            if not live.any():
-                break
-            drift = np.asarray(score.evaluate(x[live]))
-            x[live] = x[live] + cfg.step * drift + spread * noise[live]
+        x[live] += cfg.step * np.asarray(score.evaluate(x[live]))
+        x[live] += spread * noise[live]
         # written as a negated <= so that a non-finite row is flagged too;
         # the per-row flags are taken only when the global check fires
         if not np.abs(x).max() <= DIVERGENCE_GUARD:
             flagged |= ~(np.abs(x).max(axis=1) <= DIVERGENCE_GUARD)
+            live = ~flagged
+            if not live.any():
+                break
     return LmcResult(SampleSet(x), flagged)
 
 
 def dump_mixture(model: MixtureModel) -> str:
-    """Render a mixture as versioned text: weights, means, covariance factors
-    (lower Cholesky), and tilt data for ramped components."""
+    """Render a mixture as versioned text: per component a weight line, the
+    mean and the rows of the lower Cholesky factor of the covariance."""
     lines = [f"mixture v1 {model.d} {model.k}"]
     for p, comp in zip(model.weights, model.components):
-        if isinstance(comp, SoftplusComponent):
-            lines.append(f"softplus {_row([p, comp.strength])}")
-            lines.extend(map(_row, [comp.center, *comp._chol, comp.tilt]))
-        else:
-            lines.append(f"gaussian {_row([p])}")
-            lines.extend(map(_row, [comp.mean, *comp._chol]))
+        lines.append(f"gaussian {_row([p])}")
+        lines.extend(map(_row, [comp.mean, *comp._chol]))
     return "\n".join(lines) + "\n"
 
 
@@ -575,23 +441,18 @@ def load_mixture(text: str) -> MixtureModel:
             raise ParseError("mixture file ended early")
         return line
 
-    weights, specs = [], []
+    weights, factors = [], []
     for _ in range(k):
         line = take()
-        kind = line.split()[0]
-        if kind not in ("gaussian", "softplus"):
+        if line.split()[0] != "gaussian":
             raise ParseError(f"bad component line {line!r}")
-        head = _numbers(line[len(kind) :], 1 if kind == "gaussian" else 2)
-        weights.append(head[0])
-        center = _numbers(take(), d)
-        chol = np.array([_numbers(take(), d) for _ in range(d)])
-        if kind == "gaussian":
-            specs.append((GaussianComponent, (center, chol)))
-        else:
-            specs.append((SoftplusComponent, (center, chol, _numbers(take(), d), head[1])))
+        (weight,) = _numbers(line[len("gaussian") :], 1)
+        weights.append(weight)
+        mean = _numbers(take(), d)
+        factors.append((mean, np.array([_numbers(take(), d) for _ in range(d)])))
     if next(lines, None) is not None:
         raise ParseError("trailing data after the last component")
     try:
-        return MixtureModel(weights, [cls._from_factor(*args) for cls, args in specs])
+        return MixtureModel(weights, [GaussianComponent._from_factor(*f) for f in factors])
     except ValueError as exc:
         raise ParseError(f"invalid mixture: {exc}") from None

@@ -15,7 +15,6 @@ _STREAMS = {
     "default": 0,
     "glauber": 1,
     "lmc": 2,
-    "ple": 3,
     "experiment": 4,
     "init": 6,
 }
@@ -25,16 +24,12 @@ def make_rng(seed: int, stream: str = "default") -> np.random.Generator:
     """Return a Philox-backed Generator for the given seed and stream.
 
     Distinct stream names yield statistically independent sequences for the
-    same seed. Unknown names are hashed into a key rather than rejected, so
-    callers can mint ad-hoc streams.
+    same seed. A name outside the fixed set is refused.
     """
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     key = _STREAMS.get(stream)
     if key is None:
-        # Stable 64-bit hash of the stream name; Python's hash() is salted.
-        key = 0
-        for ch in stream.encode():
-            key = (key * 131 + ch) % (1 << 64)
+        raise ValueError(f"unknown random stream {stream!r}; known: {sorted(_STREAMS)}")
     return np.random.Generator(np.random.Philox(key=[int(seed) & ((1 << 64) - 1), key]))
 

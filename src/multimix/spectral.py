@@ -43,6 +43,11 @@ def _as_distribution(mu0, m: int) -> FiniteDistribution:
     if isinstance(mu0, SampleSet):
         from .ising import empirical_distribution
 
+        if m & (m - 1):
+            raise ValueError(
+                f"a SampleSet is read as +-1 spins on 2^n states, but this spectrum "
+                f"has {m} states; pass a FiniteDistribution instead"
+            )
         n = m.bit_length() - 1
         return empirical_distribution(mu0.data, n)
     raise TypeError(f"expected FiniteDistribution or SampleSet, got {type(mu0).__name__}")

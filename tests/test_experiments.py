@@ -136,6 +136,17 @@ MALFORMED = [
     ' "require": [{"metric": "lambda2_ratio", "max": NaN}]}]}',
 ]
 
+# a misspelt key, at the top level or in an entry, is refused by name rather
+# than dropped, which would run on the defaults and exit 0
+MISSPELT_KEYS = [
+    pytest.param(json.dumps(payload), (key,), id=f"misspelt-{key}")
+    for payload, key in [
+        ({"experiments": [], "output": "x.csv"}, "output"),
+        ({"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "param": {}}]}, "param"),
+        ({"experiments": [{"name": "cw-gap-scaling", "seeds": [0], "requires": []}]}, "requires"),
+    ]
+]
+
 
 def _wrong_kinds(default):
     """Values of the wrong JSON kind for a parameter with this default."""
@@ -210,6 +221,7 @@ TYPED_DEFECTS = [
 @pytest.mark.parametrize(
     ("payload", "named"),
     [pytest.param(payload, (), id=payload) for payload in MALFORMED]
+    + MISSPELT_KEYS
     + TYPED_DEFECTS
     + WRONG_TYPED,
 )

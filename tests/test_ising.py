@@ -399,3 +399,14 @@ def test_ensemble_rounds_match_masked_reference(name, seed):
         assert np.array_equal(got, masked_continuous(model, X0, T, seed))
     empty = np.empty((0, model.n))
     assert glauber_ensemble_continuous(model, empty, 2.0, seed).shape == (0, model.n)
+
+
+def test_ensemble_refuses_starts_that_are_not_spins():
+    # as empirical_distribution does, and at T = 0 too, where no site is updated
+    model = curie_weiss(4, 1.5)
+    for bad in (0.5, 0.0, math.nan):
+        X0 = np.ones((3, 4))
+        X0[1, 2] = bad
+        for T in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"\+-1 valued"):
+                glauber_ensemble_continuous(model, X0, T, seed=0)

@@ -26,7 +26,6 @@ from multimix.ising import curie_weiss, dump_ising_model, load_ising_model
 from multimix.langevin import (
     GaussianComponent,
     MixtureModel,
-    SoftplusComponent,
     dump_mixture,
     load_mixture,
 )
@@ -354,7 +353,7 @@ def versioned_dumps() -> dict:
         [0.4, 0.6],
         [
             GaussianComponent([-1.0, 0.5], cov),
-            SoftplusComponent([1.0, 0.0], cov, [1.0, -0.5], 2.0),
+            GaussianComponent([1.0, 0.0], 0.5 * cov),
         ],
     )
     net = build_field_net(split_spectrum(model, 2.0), 1.0, 3, mesh=1.0)

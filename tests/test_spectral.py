@@ -689,6 +689,15 @@ def test_balance_statistic_accepts_samples():
     assert from_samples.value == pytest.approx(from_dist.value, abs=1e-14)
 
 
+def test_balance_statistic_refuses_samples_off_a_spin_state_space():
+    # Potts n=4, q=3 has 81 states, which no spin count n gives
+    model = mean_field_potts(4, 3, 1.2)
+    spec = eigendecompose(build_glauber_generator(exact_distribution(model), 3), k_max=3)
+    X = sample_exact(model, 40, seed=78)
+    with pytest.raises(ValueError, match=r"SampleSet is read as \+-1 spins on 2\^n states.* 81"):
+        balance_statistic(spec, SampleSet(X), 2)
+
+
 def test_balance_concentration_slope():
     # median balance of an empirical initialization decays like
     # (sample count)^{-1/2}
