@@ -5,7 +5,10 @@ models, `learn` (an alias for `ple fit`) and `ple certify` for estimation,
 `decompose` for the mixture construction, and `experiment run` for the
 catalog runner. Exit codes follow one convention everywhere: 0 success,
 1 a declared acceptance predicate failed, 2 parse or usage error,
-3 capacity exceeded.
+3 capacity exceeded. The library raises and `main` alone maps an error to
+its code: a CapacityError to 3, any other ValueError (ParseError included)
+or OSError to 2, printing `error: <message>` to stderr. A command returns
+0 or 1 itself.
 """
 
 from __future__ import annotations
@@ -231,15 +234,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapacityError) else 2
 
 
 if __name__ == "__main__":

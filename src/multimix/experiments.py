@@ -1,10 +1,13 @@
 """Config-driven experiment runner with deterministic seeds and CSV output.
 
-Every desk-scale result ships as a named catalog experiment. A JSON config
-selects experiments, seeds, and sweep grids; `run` executes them on a worker
-pool, writes one CSV (atomically) plus a JSON pass/fail summary, and returns
-a process exit code: 0 success, 1 a declared acceptance predicate failed,
-2 config parse error, 3 capacity exceeded.
+Every desk-scale result ships as a named catalog experiment: a function
+`(seeds, runner, *, key=default, ...)` whose keyword-only defaults are the one
+declaration of its parameters. A JSON config selects experiments, seeds, and
+sweep grids; `run` executes them on a worker pool, writes one CSV
+(atomically) plus a JSON pass/fail summary, and returns 0 if every declared
+acceptance predicate held and 1 if one failed. A bad config, a state space
+over a cap or a bad argument raises instead, before any file is written;
+only the CLI maps those errors to exit codes.
 
 Reruns with the same config and seeds produce byte-identical outputs. Task
 runtimes are recorded only when timings are requested, so the default output
@@ -14,6 +17,7 @@ is stable across machines.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import CapacityError, ParseError
+from .errors import ParseError
 from .hs import (
     build_field_net,
     certify_sandwich,
@@ -251,12 +255,11 @@ def _certified(rows) -> bool:
     return rows[3].value == 1.0 and rows[4].value <= 1e-10
 
 
-def _exp_balance_concentration(params, seeds, runner):
-    k, redraws = params["k"], params["redraws"]
-    if params["model"] is None:
-        model = _ising_fixture(params["n"])
-    else:
-        model = load_ising_model(Path(params["model"]).read_text())
+def _exp_balance_concentration(
+    seeds, runner, *, n=8, k=4, m=(50, 200, 800, 3200), redraws=200,
+    slope_window=(-0.65, -0.35), model=None,
+):
+    model = _ising_fixture(n) if model is None else load_ising_model(Path(model).read_text())
     spectrum = eigendecompose(build_glauber_generator(exact_distribution(model)), k)
     base_seed = seeds[0]
 
@@ -273,60 +276,58 @@ def _exp_balance_concentration(params, seeds, runner):
             ResultRow("balance-concentration", label, "balance_iqr", iqr),
         ]
 
-    sizes = params["m"]
-    groups = runner.map(point, sizes)
+    groups = runner.map(point, m)
     medians = [rows[0].value for rows in groups]
-    slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
+    slope = float(np.polyfit(np.log(m), np.log(medians), 1)[0])
     rows = _flatten(groups)
     rows.append(
         ResultRow("balance-concentration", f"n={model.n} k={k}", "loglog_slope", slope)
     )
-    lo, hi = params["slope_window"]
+    lo, hi = slope_window
     return rows, bool(lo <= slope <= hi)
 
 
-def _exp_cw_gap_scaling(params, seeds, runner):
-    beta = params["beta"]
-
-    def point(n):
+def _exp_cw_gap_scaling(seeds, runner, *, n=(5, 7, 9, 11), beta=1.5, ratio_cap=0.7):
+    def point(size):
         spec = eigendecompose(
-            build_glauber_generator(exact_distribution(curie_weiss(n, beta))), 3
+            build_glauber_generator(exact_distribution(curie_weiss(size, beta))), 3
         )
         # rates per coordinate update (unit-rate eigenvalues over n). The
         # exact lambda3/n falls like 0.5/n (4.556e-2, 4.324e-3, 4.942e-4
         # at n = 11, 101, 1001), so n3_lambda3 grows like n^2, not flat
-        lam2 = float(spec.eigenvalues[1]) / n
-        lam3 = float(spec.eigenvalues[2]) / n
-        label = f"n={n} beta={beta}"
+        lam2 = float(spec.eigenvalues[1]) / size
+        lam3 = float(spec.eigenvalues[2]) / size
+        label = f"n={size} beta={beta}"
         return [
             ResultRow("cw-gap-scaling", label, "lambda2", lam2),
             ResultRow("cw-gap-scaling", label, "lambda3", lam3),
-            ResultRow("cw-gap-scaling", label, "n3_lambda3", n**3 * lam3),
+            ResultRow("cw-gap-scaling", label, "n3_lambda3", size**3 * lam3),
         ]
 
-    groups = runner.map(point, params["n"])
+    groups = runner.map(point, n)
     rows = _flatten(groups)
     ok = True
     for lo, hi in zip(groups, groups[1:]):
         ratio = hi[0].value / lo[0].value
         rows.append(ResultRow("cw-gap-scaling", hi[0].parameters, "lambda2_ratio", ratio))
-        ok &= ratio <= params["ratio_cap"]
+        ok &= ratio <= ratio_cap
     cubes = [g[2].value for g in groups]
     ok &= all(v >= 0.9 * cubes[0] for v in cubes)
     return rows, ok
 
 
-def _exp_langevin_metastability(params, seeds, runner):
-    chains = params["chains"]
+def _exp_langevin_metastability(
+    seeds, runner, *, step=1e-3, horizon=10.0, chains=10_000, stationary_samples=500
+):
     model = _bimodal_fixture()
     score = exact_score(model)
 
     def one(seed, mode):
         if mode == "data":
-            init = sample_mixture(model, params["stationary_samples"], seed + 11)
+            init = sample_mixture(model, stationary_samples, seed + 11)
         else:
             init = np.array([[-5.0]])
-        cfg = LmcConfig(step=params["step"], horizon=params["horizon"], seed=seed, chains=chains)
+        cfg = LmcConfig(step=step, horizon=horizon, seed=seed, chains=chains)
         res = lmc_run(init, score, cfg)
         x = res.samples.data[:, 0]
         frac = float(np.mean(x > 0.0)) if mode == "data" else float(np.mean(x < 0.0))
@@ -342,20 +343,19 @@ def _exp_langevin_metastability(params, seeds, runner):
     return _flatten(groups), ok
 
 
-def _exp_score_robustness(params, seeds, runner):
-    eps_grid = params["eps_sc"]
+def _exp_score_robustness(
+    seeds, runner, *, eps_sc=(0.0, 0.2, 0.5, 1.0), step=5e-3, horizon=5.0, chains=10_000
+):
     model = _bimodal_fixture()
 
     def one(seed, eps):
         score = perturb_score(model, eps, seed=seed + 101)
-        tv = _data_started_tv(
-            model, score, seed, params["step"], params["horizon"], params["chains"]
-        )
+        tv = _data_started_tv(model, score, seed, step, horizon, chains)
         label = f"seed={seed} eps_sc={eps}"
         return [ResultRow("score-robustness", label, "terminal_tv", tv)]
 
-    width = len(eps_grid)
-    groups = runner.map(one, [s for s in seeds for _ in eps_grid], eps_grid * len(seeds))
+    width = len(eps_sc)
+    groups = runner.map(one, [s for s in seeds for _ in eps_sc], eps_sc * len(seeds))
     rows = _flatten(groups)
     votes = 0
     for i, s in enumerate(seeds):
@@ -363,7 +363,7 @@ def _exp_score_robustness(params, seeds, runner):
         monotone = all(a < b for a, b in zip(tvs, tvs[1:]))
         # record the shape against the sqrt(T)*eps trend: increments per
         # unit of eps^2 should shrink if degradation is concave in eps^2
-        sq = np.diff(tvs) / np.diff(np.square(eps_grid))
+        sq = np.diff(tvs) / np.diff(np.square(eps_sc))
         concave = bool(np.all(np.diff(sq) <= 0.0))
         label = f"seed={s}"
         rows.append(ResultRow("score-robustness", label, "monotone", float(monotone)))
@@ -372,26 +372,24 @@ def _exp_score_robustness(params, seeds, runner):
     return rows, votes * 2 > len(seeds)
 
 
-def _exp_hs_sandwich(params, seeds, runner):
-    beta, c = params["beta"], params["c"]
+def _exp_hs_sandwich(seeds, runner, *, n=(5, 7, 9), beta=1.5, c=2.0):
+    def point(size):
+        label = f"n={size} beta={beta} c={c}"
+        return _hs_certificate("hs-sandwich", label, curie_weiss(size, beta), c)[0]
 
-    def point(n):
-        label = f"n={n} beta={beta} c={c}"
-        return _hs_certificate("hs-sandwich", label, curie_weiss(n, beta), c)[0]
-
-    groups = runner.map(point, params["n"])
+    groups = runner.map(point, n)
     return _flatten(groups), all(_certified(rows) for rows in groups)
 
 
-def _exp_learn_ising_e2e(params, seeds, runner):
-    n, m_fit = params["n"], params["m_fit"]
-    truth = low_rank_ising(n, 1, [params["top_eigenvalue"]], 0.2, seed=params["model_seed"])
+def _exp_learn_ising_e2e(
+    seeds, runner, *, n=8, top_eigenvalue=1.5, m_fit=20_000, m_init=2000, horizon=25.0,
+    model_seed=4,
+):
+    truth = low_rank_ising(n, 1, [top_eigenvalue], 0.2, seed=model_seed)
     radius = float(row_norms(truth).max())
 
     def one(seed):
-        report = learn_and_sample(
-            truth, m_fit, params["m_init"], PleConfig(radius=radius, seed=seed), params["horizon"]
-        )
+        report = learn_and_sample(truth, m_fit, m_init, PleConfig(radius=radius, seed=seed), horizon)
         values = (
             ("epsilon_hat", report.fit.epsilon_hat),
             ("terminal_tv", report.tv),
@@ -406,16 +404,14 @@ def _exp_learn_ising_e2e(params, seeds, runner):
     return _flatten(groups), votes * 2 > len(seeds)
 
 
-def _exp_potts_gap(params, seeds, runner):
-    q, beta = params["q"], params["beta"]
-
-    def task(n):
-        label = f"n={n} q={q} beta={beta}"
-        model = mean_field_potts(n, q, beta)
-        rows, net, pi, refined = _hs_certificate("potts-gap", label, model, params["c"])
+def _exp_potts_gap(seeds, runner, *, n=4, q=3, beta=1.2, c=2.0, component_gap_sample=64):
+    def task(size):
+        label = f"n={size} q={q} beta={beta}"
+        model = mean_field_potts(size, q, beta)
+        rows, net, pi, refined = _hs_certificate("potts-gap", label, model, c)
         # eigensolving every component is out of reach; a deterministic
         # stride plus the strongest tilt stands in for the minimum
-        stride = max(1, net.count // params["component_gap_sample"])
+        stride = max(1, net.count // component_gap_sample)
         picks = sorted(set(range(0, net.count, stride)) | {int(np.argmax(np.linalg.norm(net.fields, axis=1)))})
         gaps = [
             float(eigendecompose(build_glauber_generator(refined[i], q), 2).eigenvalues[1])
@@ -428,17 +424,18 @@ def _exp_potts_gap(params, seeds, runner):
             ResultRow("potts-gap", label, "mixture_gap", float(spec.eigenvalues[k_eff])),
         ]
 
-    [rows] = runner.map(task, [params["n"]])
+    [rows] = runner.map(task, [n])
     min_gap, mixture_gap = rows[5].value, rows[6].value
     return rows, _certified(rows) and mixture_gap >= min_gap * GAP_TRANSFER - 1e-8
 
 
-def _exp_min_weight_free(params, seeds, runner):
-    tiny = params["tiny_weight"]
-    big = 0.5 * (1.0 - tiny)
+def _exp_min_weight_free(
+    seeds, runner, *, tiny_weight=1e-4, step=5e-3, horizon=5.0, chains=10_000, shift_cap=0.02
+):
+    big = 0.5 * (1.0 - tiny_weight)
     eye = np.eye(1)
     model = MixtureModel(
-        weights=np.array([big, big, tiny]),
+        weights=np.array([big, big, tiny_weight]),
         components=(
             GaussianComponent(np.array([-5.0]), eye),
             GaussianComponent(np.array([5.0]), eye),
@@ -449,9 +446,7 @@ def _exp_min_weight_free(params, seeds, runner):
 
     def one(seed, dropped):
         score = submixture_score(model, kept) if dropped else exact_score(model)
-        tv = _data_started_tv(
-            model, score, seed, params["step"], params["horizon"], params["chains"]
-        )
+        tv = _data_started_tv(model, score, seed, step, horizon, chains)
         name = "terminal_tv_dropped" if dropped else "terminal_tv_full"
         return [ResultRow("min-weight-free", f"seed={seed}", name, tv)]
 
@@ -464,7 +459,7 @@ def _exp_min_weight_free(params, seeds, runner):
     for [full], [dropped] in zip(groups[::2], groups[1::2]):
         shift = abs(full.value - dropped.value)
         rows.append(ResultRow("min-weight-free", full.parameters, "tv_shift", shift))
-        ok &= shift <= params["shift_cap"]
+        ok &= shift <= shift_cap
     return rows, ok
 
 
@@ -479,47 +474,16 @@ CATALOG = {
     "min-weight-free": _exp_min_weight_free,
 }
 
-# Each experiment's parameter keys with their defaults; any other key is
-# rejected so a misspelt override cannot silently fall back to the default.
+# Each experiment's parameters are the keyword-only arguments of its function,
+# with their defaults; any other key is rejected so a misspelt override cannot
+# silently fall back to the default.
 PARAMETERS = {
-    "balance-concentration": {
-        "n": 8,
-        "k": 4,
-        "m": (50, 200, 800, 3200),
-        "redraws": 200,
-        "slope_window": (-0.65, -0.35),
-        "model": None,
-    },
-    "cw-gap-scaling": {"n": (5, 7, 9, 11), "beta": 1.5, "ratio_cap": 0.7},
-    "langevin-metastability": {
-        "step": 1e-3,
-        "horizon": 10.0,
-        "chains": 10_000,
-        "stationary_samples": 500,
-    },
-    "score-robustness": {
-        "eps_sc": (0.0, 0.2, 0.5, 1.0),
-        "step": 5e-3,
-        "horizon": 5.0,
-        "chains": 10_000,
-    },
-    "hs-sandwich": {"n": (5, 7, 9), "beta": 1.5, "c": 2.0},
-    "learn-ising-e2e": {
-        "n": 8,
-        "top_eigenvalue": 1.5,
-        "m_fit": 20_000,
-        "m_init": 2000,
-        "horizon": 25.0,
-        "model_seed": 4,
-    },
-    "potts-gap": {"n": 4, "q": 3, "beta": 1.2, "c": 2.0, "component_gap_sample": 64},
-    "min-weight-free": {
-        "tiny_weight": 1e-4,
-        "step": 5e-3,
-        "horizon": 5.0,
-        "chains": 10_000,
-        "shift_cap": 0.02,
-    },
+    name: {
+        p.name: p.default
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    for name, fn in CATALOG.items()
 }
 
 
@@ -627,45 +591,39 @@ def run(
     out_override: str | None = None,
 ) -> int:
     """Execute every experiment in the config; write CSV and JSON summary.
+    Returns 0 if every acceptance predicate held, 1 otherwise.
 
     `threads` workers share the sweep points. Results are ordered by
-    (experiment position, sweep position) regardless of scheduling.
+    (experiment position, sweep position) regardless of scheduling. A bad
+    config or path raises ParseError or OSError, a state space over a cap
+    CapacityError, and fewer than one thread ValueError; none of them leaves
+    a file behind.
     """
     if threads < 1:
-        print(f"error: need at least one worker thread, got {threads}", file=sys.stderr)
-        return 2
+        raise ValueError(f"need at least one worker thread, got {threads}")
     path = Path(config_path)
-    try:
-        configs, out = _parse_config(path.read_text())
-    except (FileNotFoundError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    configs, out = _parse_config(path.read_text())
     # paths declared inside the config (`out`, a `model` file) resolve next
     # to the config
     out_path = Path(out_override) if out_override is not None else path.parent / out
     summary_path = out_path.with_suffix(".json")
     if path.resolve() in (out_path.resolve(), summary_path.resolve()):
-        print(f"error: results would overwrite the config {path}", file=sys.stderr)
-        return 2
+        raise ParseError(f"results would overwrite the config {path}")
 
     all_rows: list[ResultRow] = []
     summary = []
     overall = True
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runner = _Runner(pool, timings)
-            for cfg in configs:
-                params = cfg.params
-                if isinstance(params.get("model"), str):
-                    params = {**params, "model": str(path.parent / params["model"])}
-                rows, passed = CATALOG[cfg.name](params, list(cfg.seeds), runner)
-                passed &= _check_requirements(rows, cfg.require)
-                all_rows.extend(rows)
-                summary.append({"name": cfg.name, "passed": bool(passed)})
-                overall &= passed
-    except (CapacityError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, CapacityError) else 2
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runner = _Runner(pool, timings)
+        for cfg in configs:
+            params = cfg.params
+            if isinstance(params.get("model"), str):
+                params = {**params, "model": str(path.parent / params["model"])}
+            rows, passed = CATALOG[cfg.name](list(cfg.seeds), runner, **params)
+            passed &= _check_requirements(rows, cfg.require)
+            all_rows.extend(rows)
+            summary.append({"name": cfg.name, "passed": bool(passed)})
+            overall &= passed
 
     _atomic_write(out_path, _render_csv(all_rows))
     digest = {"passed": bool(overall), "experiments": summary}

@@ -155,7 +155,7 @@ def split_spectrum(model, c: float) -> SpectralSplit:
     low-rank part; everything else stays in the remainder. A PottsModel is
     first lifted to its one-hot feature coupling.
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("threshold parameter c must be at least 1")
     J, _ = _feature_coupling(model)
     vals, vecs = scipy.linalg.eigh(J)
@@ -198,12 +198,12 @@ class FieldNet:
             raise ValueError("need one weight per field vector")
         if fields.shape[0] > MAX_FIELDS:
             raise CapacityError(f"{fields.shape[0]} fields exceed the {MAX_FIELDS} cap")
-        if weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
+        if not (weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to one")
-        if self.mesh < 0.0:
+        if not self.mesh >= 0.0:
             raise ValueError("mesh must be nonnegative")
         norms = np.linalg.norm(fields, axis=1)
-        if norms.max() > self.radius + 1e-9:
+        if not norms.max() <= self.radius + 1e-9:
             raise ValueError("every field must lie within the net radius")
         fields.setflags(write=False)
         weights.setflags(write=False)
@@ -330,15 +330,15 @@ def build_field_net(
     grid at 2R contains the grid at R, so a doubling integrates only the
     cells it adds.
     """
-    if support_radius <= 0.0 or n < 1:
-        raise ValueError("need a positive support radius and site count")
+    if not 0.0 < support_radius < math.inf or n < 1:
+        raise ValueError("need a finite positive support radius and site count")
     if split.r > MAX_NET_RANK:
         raise CapacityError(f"rank {split.r} net would need (R/mesh)^{split.r} cells")
     scale = support_radius * math.sqrt(n)
     if mesh is None:
         mesh = 1.0 / (2.0 * scale)
-    if mesh <= 0.0:
-        raise ValueError("mesh must be positive")
+    if not 0.0 < mesh < math.inf:
+        raise ValueError("mesh must be finite and positive")
     if split.r == 0:
         return FieldNet(
             fields=np.zeros((1, split.dim)), weights=np.ones(1), radius=0.0, mesh=mesh

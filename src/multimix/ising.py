@@ -273,8 +273,8 @@ def low_rank_ising(
         raise ValueError(f"rank {r} out of range for {n} spins")
     if r == n:
         raise ValueError("rank must leave room for bulk eigenvalues (r < n)")
-    if bulk_spread < 0.0:
-        raise ValueError("bulk_spread must be nonnegative")
+    if not 0.0 <= bulk_spread < math.inf:
+        raise ValueError(f"bulk_spread must be finite and nonnegative, got {bulk_spread}")
     rng = make_rng(seed, "init")
     bulk = rng.uniform(-bulk_spread, bulk_spread, n - r)
     bulk -= (top.sum() + bulk.sum()) / (n - r)

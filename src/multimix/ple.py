@@ -110,7 +110,7 @@ class LearnReport:
     def __post_init__(self):
         if not 0.0 <= self.tv <= 1.0 + 1e-12:
             raise ValueError("total variation must lie in [0, 1]")
-        if self.horizon < 0.0:
+        if not self.horizon >= 0.0:
             raise ValueError("horizon must be nonnegative")
 
 
@@ -383,7 +383,7 @@ def learn_and_sample(
     """
     if m_fit < 1 or m_init < 1:
         raise ValueError("need at least one fitting and one initialization sample")
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError("horizon must be nonnegative")
     _check_certifiable(truth.n)
     fit_set = SampleSet(sample_exact(truth, m_fit, cfg.seed))

@@ -311,6 +311,15 @@ def test_decompose_rejects_bad_split_constant(cw5, capsys):
     assert main(["decompose", "--model", str(cw5), "--c", "0.5"]) == 2
 
 
+def test_decompose_rejects_nan_split_constant(cw5, capsys):
+    # a NaN c would keep no direction, pass vacuously and print a NaN
+    # threshold, which is not JSON
+    assert main(["decompose", "--model", str(cw5), "--c", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --- experiment run -----------------------------------------------------------
 
 

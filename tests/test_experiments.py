@@ -1,15 +1,17 @@
 """Experiment runner: config handling, exit codes, determinism, catalog."""
 
+import ast
 import inspect
 import json
-import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from multimix.errors import ParseError
+from multimix.cli import main
+from multimix.errors import CapacityError, ParseError
 from multimix.experiments import (
     CATALOG,
     CSV_HEADER,
@@ -28,6 +30,11 @@ from multimix.spectral import build_glauber_generator
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def run_cli(config_path, *options):
+    """`multimix experiment run`: the one place that maps errors to exit codes."""
+    return main(["experiment", "run", str(config_path), *options])
 
 
 def write_config(tmp_path, experiments, out="r.csv", name="cfg.json"):
@@ -93,25 +100,80 @@ def test_config_converts_values_to_the_declared_types():
     assert all(type(v) is float for v in cfg.params["eps_sc"])
 
 
+def _reads(node, name) -> bool:
+    """Whether `name` is loaded anywhere under `node`, leaving out nested
+    functions that take a parameter of that name."""
+    if isinstance(node, ast.FunctionDef) and name in {
+        a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)
+    }:
+        return False
+    if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+        return True
+    return any(_reads(child, name) for child in ast.iter_child_nodes(node))
+
+
+def unread_keywords(fn) -> list[str]:
+    """The keyword-only parameters of `fn` that its body never reads."""
+    [tree] = ast.parse(textwrap.dedent(inspect.getsource(fn))).body
+    return [
+        a.arg for a in tree.args.kwonlyargs if not any(_reads(stmt, a.arg) for stmt in tree.body)
+    ]
+
+
 def test_declared_parameters_match_what_each_experiment_reads():
+    # a parameter is declared once, as a keyword-only default, and then read
+    def shadowed(seeds, runner, *, n=3, beta=1.0, c=2.0):
+        def point(c):
+            return c
+        return [point(n) for _ in seeds], True
+
+    assert unread_keywords(shadowed) == ["beta", "c"]
     for name, fn in CATALOG.items():
-        src = inspect.getsource(fn)
-        read = set(re.findall(r'params(?:\.get\(|\[)"(\w+)"', src))
-        read |= set(re.findall(r'"(\w+)" in params', src))
-        assert read == set(PARAMETERS[name]), name
+        parameters = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in parameters[:2]] == ["seeds", "runner"], name
+        assert all(p.kind is p.KEYWORD_ONLY for p in parameters[2:]), name
+        assert PARAMETERS[name] == {p.name: p.default for p in parameters[2:]}, name
+        assert unread_keywords(fn) == [], name
 
 
 # --- exit codes -----------------------------------------------------------
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    assert run(tmp_path / "nope.json") == 2
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert run_cli(tmp_path / "nope.json") == 2
+    assert "nope.json" in capsys.readouterr().err
 
 
-def test_invalid_json_exits_2(tmp_path):
+def test_invalid_json_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    assert run(p) == 2
+    assert run_cli(p) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+
+def test_run_raises_instead_of_choosing_an_exit_code(tmp_path, monkeypatch):
+    # `run` returns only 0 or 1; every other outcome is an exception, raised
+    # before any file is written
+    big = write_config(
+        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [17]}}], name="big.json"
+    )
+    with pytest.raises(CapacityError):
+        run(big)
+    with pytest.raises(FileNotFoundError):
+        run(tmp_path / "nope.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ParseError, match="not valid JSON"):
+        run(bad)
+    calls = []
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *a, **k: calls.append(a))
+    p = write_config(tmp_path, [{"name": "cw-gap-scaling", "seeds": [0]}])
+    with pytest.raises(ValueError, match="at least one worker thread, got 0"):
+        run(p, threads=0)
+    with pytest.raises(ParseError, match="overwrite the config"):
+        run(p, out_override=str(tmp_path / "cfg.csv"))
+    assert calls == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.json", "big.json", "cfg.json"]
 
 
 MALFORMED = [
@@ -228,10 +290,10 @@ TYPED_DEFECTS = [
 def test_malformed_configs_exit_2(tmp_path, payload, named, monkeypatch, capsys):
     # every one of these is refused while parsing, before any experiment runs
     for name in CATALOG:
-        monkeypatch.setitem(CATALOG, name, lambda *args: pytest.fail("ran"))
+        monkeypatch.setitem(CATALOG, name, lambda *a, **k: pytest.fail("ran"))
     p = tmp_path / "bad.json"
     p.write_text(payload)
-    assert run(p) == 2
+    assert run_cli(p) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert all(repr(word) in err for word in named)
@@ -244,7 +306,7 @@ def test_misspelt_parameter_exits_2_before_any_experiment_runs(tmp_path, monkeyp
     # a typo such as "betta" used to be dropped silently, running on the
     # default beta and exiting 0
     calls = []
-    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *a, **k: calls.append(a))
     p = write_config(
         tmp_path,
         [
@@ -252,9 +314,10 @@ def test_misspelt_parameter_exits_2_before_any_experiment_runs(tmp_path, monkeyp
             {"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7], "betta": 3.0}},
         ],
     )
-    assert run(p) == 2
+    assert run_cli(p) == 2
     assert calls == []
     assert "'betta'" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
     with pytest.raises(ParseError, match="'betta'"):
         _parse_config(p.read_text())
 
@@ -272,17 +335,17 @@ def test_capacity_exits_3_and_writes_nothing(tmp_path, capsys):
     p = write_config(
         tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [17]}}]
     )
-    assert run(p) == 3
+    assert run_cli(p) == 3
     assert not (tmp_path / "r.csv").exists()
     assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fewer_than_one_thread_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *a, **k: calls.append(a))
     p = write_config(tmp_path, [{"name": "cw-gap-scaling", "seeds": [0]}])
     for threads in (0, -1):
-        assert run(p, threads=threads) == 2
+        assert run_cli(p, "--threads", str(threads)) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
@@ -484,9 +547,10 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
             }
         ],
     )
-    assert run(p) == 2
+    assert run_cli(p) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ghost.txt" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # --- catalog: samplers ----------------------------------------------------
@@ -633,7 +697,7 @@ def test_learn_ising_e2e_single_seed(tmp_path):
 def test_learn_ising_e2e_above_certification_cap_exits_3(tmp_path, capsys):
     # n = 11 is past exact certification, and there is no estimate in its place
     p = write_config(tmp_path, [{"name": "learn-ising-e2e", "seeds": [0], "params": {"n": 11}}])
-    assert run(p) == 3
+    assert run_cli(p) == 3
     assert "up to 10 spins, got 11" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -663,12 +727,13 @@ def test_results_never_overwrite_the_config(tmp_path, monkeypatch, capsys):
     # the summary goes to out.with_suffix(".json"), which for out = cfg.csv
     # is the config itself
     calls = []
-    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *args: calls.append(args))
+    monkeypatch.setitem(CATALOG, "cw-gap-scaling", lambda *a, **k: calls.append(a))
     p = write_config(tmp_path, [{"name": "cw-gap-scaling", "seeds": [0]}], out="cfg.csv")
     before = p.read_bytes()
-    assert run(p) == 2
-    assert "error: " in capsys.readouterr().err
-    assert run(p, out_override=str(tmp_path / "cfg.json")) == 2
+    assert run_cli(p) == 2
+    assert capsys.readouterr().err.startswith("error: results would overwrite the config")
+    assert run_cli(p, "--out", str(tmp_path / "cfg.json")) == 2
+    assert capsys.readouterr().err.startswith("error: results would overwrite the config")
     assert p.read_bytes() == before
     assert calls == []
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]

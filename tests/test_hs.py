@@ -98,6 +98,9 @@ def test_split_below_threshold_keeps_nothing():
 def test_split_rejects_small_c():
     with pytest.raises(ValueError):
         split_spectrum(curie_weiss(5, 1.5), 0.5)
+    # a NaN c would keep no direction, and a rank-0 net passes vacuously
+    with pytest.raises(ValueError, match="at least 1"):
+        split_spectrum(curie_weiss(5, 1.5), float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,11 @@ def test_net_input_validation():
         build_field_net(split, 0.0, 5)
     with pytest.raises(ValueError):
         build_field_net(split, 1.0, 5, mesh=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive support radius"):
+            build_field_net(split, bad, 5)
+        with pytest.raises(ValueError, match="mesh must be finite and positive"):
+            build_field_net(split, 1.0, 5, mesh=bad)
 
 
 def test_field_net_validation():
@@ -249,6 +257,13 @@ def test_field_net_validation():
             radius=0.5,  # smaller than the stored field norm
             mesh=0.1,
         )
+    nan = float("nan")
+    with pytest.raises(ValueError, match="weights"):
+        FieldNet(fields=np.zeros((2, 3)), weights=np.array([nan, 1.0]), radius=1.0, mesh=0.1)
+    with pytest.raises(ValueError, match="mesh"):
+        FieldNet(fields=np.zeros((1, 3)), weights=np.ones(1), radius=1.0, mesh=nan)
+    with pytest.raises(ValueError, match="radius"):
+        FieldNet(fields=np.zeros((1, 3)), weights=np.ones(1), radius=nan, mesh=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,9 @@ def test_low_rank_ising_spectrum():
     assert w2[-3] < 1.2
     with pytest.raises(ValueError):
         low_rank_ising(4, 5, [1.0] * 5, 0.1, seed=1)
+    for spread in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="bulk_spread"):
+            low_rank_ising(6, 1, [1.5], spread, seed=4)
     # same seed, same model
     again = low_rank_ising(8, 2, [1.4, 1.2], 0.2, seed=8)
     assert np.array_equal(again.J, model2.J)

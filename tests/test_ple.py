@@ -660,6 +660,9 @@ def test_learn_and_sample_guards(monkeypatch):
         learn_and_sample(zero_model(5), 0, 10, PleConfig(radius=1.0), horizon=1.0)
     with pytest.raises(ValueError):
         learn_and_sample(zero_model(5), 10, 10, PleConfig(radius=1.0), horizon=-1.0)
+    # a NaN horizon is refused before anything is drawn or fitted
+    with pytest.raises(ValueError, match="horizon"):
+        learn_and_sample(zero_model(5), 10, 10, PleConfig(radius=1.0), horizon=float("nan"))
     with pytest.raises(ValueError):
         LearnReport(
             fit=FitReport(
@@ -667,6 +670,16 @@ def test_learn_and_sample_guards(monkeypatch):
             ),
             horizon=1.0,
             tv=1.5,
+            exact=True,
+            balance=None,
+        )
+    with pytest.raises(ValueError, match="horizon"):
+        LearnReport(
+            fit=FitReport(
+                model=zero_model(2), radius=1.0, objective=1.0, iterations=1, converged=True
+            ),
+            horizon=float("nan"),
+            tv=0.5,
             exact=True,
             balance=None,
         )
