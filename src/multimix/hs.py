@@ -11,6 +11,10 @@ net into an exact mixture once the certificate holds.
 The pipeline is written once, over a feature map: an Ising state is its own
 feature vector, a Potts state is its site-major one-hot coloring. Each split
 enumerates its states once, and a field h tilts every state by <h, features>.
+When the split's remainder energies and kept projections are invariant under
+site permutations, the field-net quadrature sums over the orbits of that
+group (up-spin counts, or colour counts) instead of over states; the mixture
+law and its components stay per state.
 """
 
 from __future__ import annotations
@@ -55,8 +59,10 @@ class SpectralSplit:
     the remainder, and `negative_trace` records the total magnitude of the
     negative part of the spectrum. All of these live in feature space (see
     `_features`). The model the split was taken from rides along so the
-    field-net weights can enumerate its states. Two splits are equal when
-    their models, arrays and scalars agree exactly.
+    field-net weights can enumerate its states (`enumeration`, once) and
+    group them into site-permutation orbits (`orbit_rows`, derived from that
+    one enumeration). Two splits are equal when their models, arrays and
+    scalars agree exactly.
     """
 
     model: object
@@ -106,6 +112,38 @@ class SpectralSplit:
         for arr in (features, base, proj):
             arr.setflags(write=False)
         return features, base, proj
+
+    @cached_property
+    def orbit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log weights and projections the field-net quadrature sums over:
+        one row per site-permutation orbit when E0 and the projections are
+        constant on every orbit, else the state rows of `enumeration`.
+
+        An orbit holds the states of one per-site feature sum: the up-spin
+        count of a spin state, the colour counts of a Potts state. Its row
+        holds E0 + log|orbit| and the projection of its first state, so a
+        log-sum-exp over orbit rows is one over states. Constant means within
+        1e-12 of each array's largest magnitude: enumeration sums energies in
+        a state-dependent order, so an exchangeable law's entries spread by
+        ~1e-14 relative and never agree bitwise, and each summed exponent
+        then moves by at most that tolerance (the backward-error argument of
+        `spectral._exchangeable_levels`). A symmetry-breaking field or
+        coupling, a low-rank kept space and an antiferromagnet's kept space
+        orthogonal to 1 are not orbit-invariant and keep the state rows.
+        """
+        features, base, proj = self.enumeration
+        sums = features.reshape(base.size, self.model.n, -1).sum(axis=1)
+        _, first, orbit, counts = np.unique(
+            sums, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        orbit = orbit.reshape(-1)  # numpy 2.0.0 returns it as a column
+        for arr in (base, proj):
+            if not np.abs(arr - arr[first][orbit]).max() <= 1e-12 * np.abs(arr).max():
+                return base, proj
+        rows = base[first] + np.log(counts), proj[first]
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
 
     @property
     def r(self) -> int:
@@ -241,9 +279,12 @@ def _net_radius(split: SpectralSplit, scale: float) -> float:
 def _cell_log_masses(split: SpectralSplit, coords: np.ndarray, mesh: float) -> np.ndarray:
     """Log mass of each grid cell: the enumerated partition function of the
     remainder model against the Gaussian factor, integrated by the midpoint
-    rule with three sub-nodes per direction."""
+    rule with three sub-nodes per direction. Each node's log-sum-exp runs
+    over `split.orbit_rows`: the n + 1 up-spin counts of an exchangeable
+    spin model or the C(n+q-1, q-1) colour counts of a Potts model rather
+    than their 2^n or q^n states, and over the states otherwise."""
     r = split.r
-    _, base, proj = split.enumeration
+    base, proj = split.orbit_rows
     offsets = np.meshgrid(*([np.array([-mesh / 3.0, 0.0, mesh / 3.0])] * r), indexing="ij")
     offsets = np.stack([o.ravel() for o in offsets], axis=1)
     nodes = (coords[:, None, :] + offsets[None, :, :]).reshape(-1, r)
@@ -418,13 +459,17 @@ def exact_mixture_refinement(pi: FiniteDistribution, weights, components):
     """Reweight a certified approximate mixture into an exact one.
 
     Each component is multiplied by the bounded ratio pi/pi2 and renormalized;
-    the weights pick up the corresponding mass. The reconstruction
-    sum_h q_h pibar_h = pi is verified entrywise before returning.
+    the weights pick up the corresponding mass. The weights must be finite
+    and nonnegative. The reconstruction sum_h q_h pibar_h = pi is verified
+    entrywise before returning. The refined stack is handed to
+    `FiniteDistribution._rows`, which adopts it read-only.
     """
     weights = np.asarray(weights, dtype=float)
     dists = [c.probs if isinstance(c, FiniteDistribution) else np.asarray(c, float) for c in components]
     if weights.ndim != 1 or weights.size != len(dists):
         raise ValueError("need one weight per component")
+    if not (weights.min() >= 0.0 and weights.max() < math.inf):
+        raise ValueError("mixture weights must be finite and nonnegative")
     stack = np.stack(dists)
     pi2 = weights @ stack
     cert = certify_sandwich(pi, FiniteDistribution(pi2 / pi2.sum()))

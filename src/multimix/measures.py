@@ -121,12 +121,15 @@ class FiniteDistribution:
 
     @classmethod
     def _rows(cls, stack) -> tuple["FiniteDistribution", ...]:
-        """One distribution per row of a 2-D stack, checked once as a whole.
+        """One distribution per row of a 2-D float stack that the caller
+        built and hands over, checked once as a whole.
 
         Raises what ``FiniteDistribution(row)`` raises for the first bad
-        row. The rows are read-only views of one private copy of the stack.
+        row. The stack is made read-only, not copied, and the rows are views
+        of it.
         """
-        rows = _readonly(stack)
+        rows = np.asarray(stack, dtype=float)
+        rows.setflags(write=False)
         if rows.ndim != 2:
             raise ValueError(f"need a 2-D stack of probability rows, got shape {rows.shape}")
         if rows.shape[0] and not _laws(rows):

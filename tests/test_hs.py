@@ -32,7 +32,7 @@ from multimix.ising import (
     low_rank_ising,
     mean_field_potts,
 )
-from multimix.measures import _softmax
+from multimix.measures import _logsumexp, _softmax
 from multimix.spectral import build_glauber_generator, eigendecompose
 
 GAP_TRANSFER = math.exp(-6.0)
@@ -216,6 +216,94 @@ def test_grid_weights_do_not_depend_on_the_block_size(monkeypatch, model):
         assert np.array_equal(blocks[3], whole[3])
 
 
+def state_cell_log_masses(split, coords, mesh):
+    """Oracle: the per-state quadrature that sums every node's log-sum-exp
+    over all enumerated states, as the net was integrated before orbit
+    rows."""
+    r = split.r
+    _, base, proj = split.enumeration
+    offsets = np.meshgrid(*([np.array([-mesh / 3.0, 0.0, mesh / 3.0])] * r), indexing="ij")
+    offsets = np.stack([o.ravel() for o in offsets], axis=1)
+    nodes = (coords[:, None, :] + offsets[None, :, :]).reshape(-1, r)
+    log_gauss = -0.5 * (nodes * nodes) @ (1.0 / split.eigenvalues)
+    width = max(8, hs._BLOCK_ENTRIES // base.size // 8 * 8)
+    padded = np.zeros((-(-nodes.shape[0] // 8) * 8, r))
+    padded[: nodes.shape[0]] = nodes
+    log_z = np.empty(padded.shape[0])
+    for lo in range(0, padded.shape[0], width):
+        z = proj @ padded[lo : lo + width].T
+        z += base[:, None]
+        log_z[lo : lo + width] = _logsumexp(z, axis=0, overwrite=True)
+    per_node = (log_z[: nodes.shape[0]] + log_gauss).reshape(coords.shape[0], -1)
+    return _logsumexp(per_node, axis=1, overwrite=True) + r * math.log(mesh / 3.0)
+
+
+def quadratures(model, mesh, monkeypatch):
+    """Cell log masses at random cells and the field net (None above the
+    rank cap), once by orbit rows and once by the state oracle, each from
+    a fresh split."""
+    out = []
+    for cells in (hs._cell_log_masses, state_cell_log_masses):
+        monkeypatch.setattr(hs, "_cell_log_masses", cells)
+        split = split_spectrum(model, 2.0)
+        coords = np.random.default_rng(5).normal(0.0, 1.0, (40, split.r))
+        net = None
+        if split.r <= hs.MAX_NET_RANK:
+            net = build_field_net(split, 1.0, model.n, mesh=mesh)
+        out.append((split, cells(split, coords, 0.75 if mesh is None else mesh), net))
+    return out
+
+
+def uniform_field(n: int, b: float) -> IsingModel:
+    return IsingModel(curie_weiss(n, 1.5).J, np.full(n, b))
+
+
+def antiferromagnet(n: int, beta: float) -> IsingModel:
+    # kept space: the n - 1 directions orthogonal to 1, eigenvalue -beta/n
+    return IsingModel((beta / n) * (np.ones((n, n)) - np.eye(n)), np.zeros(n))
+
+
+@pytest.mark.parametrize(
+    "model, mesh, orbits",
+    [(curie_weiss(n, 1.5), None, n + 1) for n in (5, 7, 9, 11)]
+    + [(uniform_field(n, 0.2), None, n + 1) for n in (5, 7, 9, 11)]
+    + [
+        (mean_field_potts(n, q, 1.2), 0.75, math.comb(n + q - 1, q - 1))
+        for n, q in ((3, 3), (4, 3), (3, 4))
+    ],
+    ids=[f"cw-{n}" for n in (5, 7, 9, 11)]
+    + [f"cw-field-{n}" for n in (5, 7, 9, 11)]
+    + ["potts-3-3", "potts-4-3", "potts-3-4"],
+)
+def test_exchangeable_quadrature_sums_over_orbits(monkeypatch, model, mesh, orbits):
+    (split, cells, net), (_, oracle_cells, oracle_net) = quadratures(model, mesh, monkeypatch)
+    base, proj = split.orbit_rows
+    assert base.size == orbits and proj.shape == (orbits, split.r)
+    assert not base.flags.writeable and not proj.flags.writeable
+    assert np.all(np.abs(cells - oracle_cells) <= 1e-12 * np.abs(oracle_cells))
+    if net is not None:
+        assert np.array_equal(net.fields, oracle_net.fields)
+        assert np.all(np.abs(net.weights - oracle_net.weights) <= 1e-12 * oracle_net.weights)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        low_rank_ising(8, 2, [1.6, 1.3], 0.2, seed=0),
+        low_rank_ising(9, 1, [1.6], 0.2, seed=1),
+        antiferromagnet(3, -3.0),
+        antiferromagnet(4, -3.0),
+    ],
+    ids=["low-rank-8", "low-rank-9", "antiferro-3", "antiferro-4"],
+)
+def test_asymmetric_quadrature_keeps_the_state_rows_bitwise(monkeypatch, model):
+    (split, cells, net), (_, oracle_cells, oracle_net) = quadratures(model, None, monkeypatch)
+    _, base, proj = split.enumeration
+    assert split.orbit_rows[0] is base and split.orbit_rows[1] is proj
+    assert np.array_equal(cells, oracle_cells)
+    assert net == oracle_net
+
+
 def test_net_capacity_guards():
     wide = low_rank_ising(8, 4, [1.4, 1.3, 1.2, 1.1], 0.1, seed=1)
     split = split_spectrum(wide, 2.0)
@@ -397,6 +485,30 @@ def test_refinement_weight_shape_mismatch():
     dists = [exact_distribution(c) for c in components]
     with pytest.raises(ValueError):
         exact_mixture_refinement(pi, net.weights[:-1], dists)
+
+
+def test_refinement_refuses_bad_weights_by_name():
+    _, _, _, pi, _, components = cw_pipeline(5)
+    dists = [exact_distribution(c) for c in components[:2]]
+    for bad in ([1.5, -0.5], [np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="mixture weights must be finite and nonnegative"):
+            exact_mixture_refinement(pi, bad, dists)
+
+
+def test_component_and_refined_stacks_are_adopted_read_only():
+    model = mean_field_potts(4, 3, 1.2)
+    split = split_spectrum(model, 2.0)
+    net = build_field_net(split, 1.0, 4, mesh=0.75)
+    pi = exact_distribution(model)
+    _, components = mixture_density(net, split, model)
+    _, refined = exact_mixture_refinement(pi, net.weights, components)
+    for rows in (components, refined):
+        stack = rows[0].probs.base
+        assert stack is not None and stack.shape == (net.count, 81)
+        assert not stack.flags.writeable
+        assert all(d.probs.base is stack for d in rows)
+        with pytest.raises(ValueError):
+            rows[-1].probs[0] = 0.5
 
 
 # ---------------------------------------------------------------------------

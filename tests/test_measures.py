@@ -118,8 +118,11 @@ def test_stack_rows_are_read_only_distributions():
     stack = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
     rows = FiniteDistribution._rows(stack)
     assert rows == tuple(FiniteDistribution(row) for row in stack)
-    stack[0, 0] = 0.0  # the rows hold their own copy
-    assert rows[0].probs[0] == 0.25
+    # the stack is handed over: adopted read-only, not copied
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0] = 0.0
+    assert all(np.shares_memory(d.probs, stack) for d in rows)
     for d in rows:
         assert not d.probs.flags.writeable
         with pytest.raises(ValueError):
