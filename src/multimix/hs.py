@@ -35,6 +35,8 @@ from .measures import (
     _header,
     _logsumexp,
     _numbers,
+    _readonly,
+    _Record,
     _row,
     _softmax,
 )
@@ -51,7 +53,7 @@ SANDWICH_LIMIT = math.exp(3.0)
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralSplit:
+class SpectralSplit(_Record):
     """Coupling split J = J_plus + J_tilde at the threshold 1 - 1/c.
 
     J_plus collects the eigendirections with eigenvalue above the threshold
@@ -76,27 +78,12 @@ class SpectralSplit:
 
     def __post_init__(self):
         for name in ("j_plus", "j_tilde", "eigenvalues", "basis"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         coupling, _ = _feature_coupling(self.model)
         if np.abs(self.j_plus + self.j_tilde - coupling).max() > 1e-10:
             raise ValueError("split parts must add back to the coupling")
         if self.eigenvalues.size and self.eigenvalues.min() <= self.threshold:
             raise ValueError("kept eigenvalues must exceed the threshold")
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralSplit):
-            return NotImplemented
-        arrays = ("j_plus", "j_tilde", "eigenvalues", "basis")
-        scalars = ("negative_trace", "c", "threshold")
-        return (
-            self.model == other.model
-            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
-            and all(getattr(self, a) == getattr(other, a) for a in scalars)
-        )
-
-    __hash__ = None
 
     @cached_property
     def enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,7 +202,7 @@ def split_spectrum(model, c: float) -> SpectralSplit:
 
 
 @dataclass(frozen=True, eq=False)
-class FieldNet:
+class FieldNet(_Record):
     """Discrete net of auxiliary fields with their mixture weights.
 
     Fields are full-dimension vectors living in the image of J_plus, on a
@@ -230,8 +217,8 @@ class FieldNet:
     mesh: float
 
     def __post_init__(self):
-        fields = np.asarray(self.fields, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        fields = _readonly(self.fields)
+        weights = _readonly(self.weights)
         if fields.ndim != 2 or weights.shape != (fields.shape[0],):
             raise ValueError("need one weight per field vector")
         if fields.shape[0] > MAX_FIELDS:
@@ -243,22 +230,8 @@ class FieldNet:
         norms = np.linalg.norm(fields, axis=1)
         if not norms.max() <= self.radius + 1e-9:
             raise ValueError("every field must lie within the net radius")
-        fields.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldNet):
-            return NotImplemented
-        return (
-            np.array_equal(self.fields, other.fields)
-            and np.array_equal(self.weights, other.weights)
-            and self.radius == other.radius
-            and self.mesh == other.mesh
-        )
-
-    __hash__ = None
 
     @property
     def count(self) -> int:

@@ -30,6 +30,7 @@ from .measures import (
     _check_state_count,
     _header,
     _numbers,
+    _Record,
     _row,
     _softmax,
 )
@@ -37,7 +38,7 @@ from .rng import make_rng
 
 
 @dataclass(frozen=True, eq=False)
-class IsingModel:
+class IsingModel(_Record):
     """Pairwise spin model: pi(x) ~ exp((1/2) x'Jx + b'x), J symmetric, diag 0.
 
     Two models are equal when their couplings and fields agree entrywise.
@@ -67,13 +68,6 @@ class IsingModel:
         b.setflags(write=False)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if not isinstance(other, IsingModel):
-            return NotImplemented
-        return np.array_equal(self.J, other.J) and np.array_equal(self.b, other.b)
-
-    __hash__ = None
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParseError
-from .measures import SampleSet, _header, _logsumexp, _numbers, _row
+from .measures import SampleSet, _header, _logsumexp, _numbers, _readonly, _Record, _row
 from .rng import make_rng
 
 # Any coordinate beyond this aborts its chain; the threshold sits far above
@@ -363,8 +363,8 @@ class LmcConfig:
         return round(self.horizon / self.step)
 
 
-@dataclass(frozen=True)
-class LmcResult:
+@dataclass(frozen=True, eq=False)
+class LmcResult(_Record):
     """Terminal points, one per chain, plus which chains tripped the guard.
 
     A chain is flagged when a coordinate leaves [-DIVERGENCE_GUARD,
@@ -377,10 +377,9 @@ class LmcResult:
     flagged: np.ndarray
 
     def __post_init__(self):
-        flagged = np.asarray(self.flagged, dtype=bool)
+        flagged = _readonly(self.flagged, dtype=bool)
         if flagged.shape != (self.samples.n,):
             raise ValueError("need one flag per chain")
-        flagged.setflags(write=False)
         object.__setattr__(self, "flagged", flagged)
 
     @property

@@ -9,9 +9,10 @@ are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse
 from scipy.special import rel_entr
 
 from .errors import CapacityError, ParseError
@@ -27,6 +28,36 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _same(a, b) -> bool:
+    """Exact agreement of two record fields: arrays entrywise, a canonical
+    CSR array by shape and stored structure, anything else by ``==``."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, scipy.sparse.csr_array):
+        return (
+            isinstance(b, scipy.sparse.csr_array)
+            and a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
+        )
+    return bool(a == b)
+
+
+class _Record:
+    """Base of the frozen dataclasses that hold arrays, declared with
+    ``eq=False``. Two records of one type are equal when every field agrees
+    exactly (see `_same`); against any other type ``__eq__`` returns
+    NotImplemented. Records are unhashable, since their arrays are."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    __hash__ = None
 
 
 def _logsumexp(a, axis=None, overwrite: bool = False):
@@ -103,7 +134,7 @@ def _check_law(p: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteDistribution:
+class FiniteDistribution(_Record):
     """Probability vector over states ``{0, ..., m-1}``.
 
     Entries must be nonnegative and sum to one within 1e-12; at most 2**20
@@ -142,13 +173,6 @@ class FiniteDistribution:
             out.append(dist)
         return tuple(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteDistribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-    __hash__ = None
-
     @property
     def m(self) -> int:
         return self.probs.size
@@ -169,8 +193,8 @@ class FiniteDistribution:
         return cls(np.full(m, 1.0 / m))
 
 
-@dataclass(frozen=True)
-class SampleSet:
+@dataclass(frozen=True, eq=False)
+class SampleSet(_Record):
     """A batch of points in R^d, one row per sample.
 
     One-dimensional input is promoted to a single-column matrix. Ragged input

@@ -56,14 +56,15 @@ class PleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("constraint radius must be positive")
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError("step must be positive when given")
+        # negated comparisons, so that NaN and infinite values fail too
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("constraint radius must be positive and finite")
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite when given")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

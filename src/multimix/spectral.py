@@ -24,8 +24,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import CapacityError
-from .ising import _shared
-from .measures import MAX_EXACT_STATES, FiniteDistribution, SampleSet, _readonly
+from .ising import _shared, empirical_distribution, states_matrix
+from .measures import MAX_EXACT_STATES, FiniteDistribution, SampleSet, _readonly, _Record
 
 # law-independent structure, built once per (n, q) or n by ``ising._shared``
 _patterns: dict = {}
@@ -41,8 +41,6 @@ def _as_distribution(mu0, m: int) -> FiniteDistribution:
     if isinstance(mu0, FiniteDistribution):
         return mu0
     if isinstance(mu0, SampleSet):
-        from .ising import empirical_distribution
-
         if m & (m - 1):
             raise ValueError(
                 f"a SampleSet is read as +-1 spins on 2^n states, but this spectrum "
@@ -54,7 +52,7 @@ def _as_distribution(mu0, m: int) -> FiniteDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
+class GeneratorMatrix(_Record):
     """Symmetrized negative generator together with its stationary law.
 
     A is stored as a read-only ``scipy.sparse.csr_array`` in canonical form
@@ -102,20 +100,6 @@ class GeneratorMatrix:
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)
 
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorMatrix):
-            return NotImplemented
-        a, b = self.A, other.A
-        return (
-            self.pi == other.pi
-            and a.shape == b.shape
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-        )
-
-    __hash__ = None
-
     @property
     def m(self) -> int:
         return self.A.shape[0]
@@ -128,7 +112,7 @@ class GeneratorMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Record):
     """Bottom eigenvalues and pi-orthonormal eigenfunctions of -L.
 
     Eigenvalues ascend, the first is zero (to 1e-8) with eigenfunction
@@ -190,17 +174,6 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenfunctions", F)
 
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return (
-            self.pi == other.pi
-            and np.array_equal(self.eigenvalues, other.eigenvalues)
-            and np.array_equal(self.eigenfunctions, other.eigenfunctions)
-        )
-
-    __hash__ = None
-
     @property
     def m(self) -> int:
         return self.pi.m
@@ -214,8 +187,8 @@ class Spectrum:
         return self.k == self.m
 
 
-@dataclass(frozen=True)
-class BalanceStatistic:
+@dataclass(frozen=True, eq=False)
+class BalanceStatistic(_Record):
     """Euclidean size of the initialization's overlap with eigenfunctions
     2..k; coefficient i is the mean of eigenfunction i under the
     initialization."""
@@ -234,8 +207,8 @@ class BalanceStatistic:
         object.__setattr__(self, "coefficients", c)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+@dataclass(frozen=True, eq=False)
+class ContractionReport(_Record):
     """Exact chi-square decay against the balance-plus-gap envelope."""
 
     times: np.ndarray
@@ -352,15 +325,6 @@ def _reversal_symmetric(A: scipy.sparse.csr_array) -> bool:
     )
 
 
-def _popcount(x: np.ndarray, n: int) -> np.ndarray:
-    """Set bits of each index below 2^n, by bit arithmetic (numpy's
-    ``bitwise_count`` needs numpy 2)."""
-    count = np.zeros_like(x)
-    for i in range(n):
-        count += (x >> i) & 1
-    return count
-
-
 def _cube(n: int):
     """Structure of the n-cube that the sector route needs, built once per n.
 
@@ -374,8 +338,9 @@ def _cube(n: int):
     def build():
         m = 1 << n
         idx = np.arange(m)
-        level = _popcount(idx, n)
-        rows, bit = np.nonzero((idx[:, None] >> np.arange(n)) & 1)
+        ups = states_matrix(n) > 0
+        level = ups.sum(axis=1)
+        rows, bit = np.nonzero(ups)
         up = scipy.sparse.csr_array(
             (np.ones(rows.size), rows ^ (1 << bit), np.append(0, np.cumsum(level))), shape=(m, m)
         )
@@ -402,8 +367,9 @@ def _harmonic_basis(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """
 
     def build():
-        base = np.flatnonzero(_cube(n)[0] == j)
-        share = _popcount(base[:, None] & base[None, :], n) == j - 1
+        level = _cube(n)[0]
+        base = np.flatnonzero(level == j)
+        share = level[base[:, None] & base[None, :]] == j - 1
         mult = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
         phi = scipy.linalg.eigh(share + j * np.eye(base.size), subset_by_index=(0, mult - 1))[1]
         base.setflags(write=False)

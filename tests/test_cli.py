@@ -223,6 +223,21 @@ def test_fit_rejects_nonpositive_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--radius", "--step", "--tolerance"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_fit_rejects_non_finite_settings_by_name(tmp_path, capsys, option, value):
+    spath = tmp_path / "X.txt"
+    spath.write_text("1 -1 1\n-1 1 1\n")
+    # a repeated --radius takes the last value
+    rc = main(
+        ["learn", "--samples", str(spath), "--radius", "2.0",
+         "--out", str(tmp_path / "f.txt"), option, value]
+    )
+    assert rc == 2
+    assert option[2:] in capsys.readouterr().err
+    assert not (tmp_path / "f.txt").exists()
+
+
 # --- ple certify --------------------------------------------------------------
 
 

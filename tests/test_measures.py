@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import pkgutil
+import typing
 from functools import cache
 from itertools import combinations
 
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp, softmax
 
+import multimix
 from multimix import (
     CapacityError,
     FiniteDistribution,
@@ -21,16 +26,32 @@ from multimix import (
     kl_divergence,
     tv_distance,
 )
-from multimix.hs import build_field_net, dump_field_net, load_field_net, split_spectrum
+from multimix.hs import (
+    FieldNet,
+    build_field_net,
+    dump_field_net,
+    load_field_net,
+    split_spectrum,
+)
 from multimix.ising import curie_weiss, dump_ising_model, load_ising_model
 from multimix.langevin import (
     GaussianComponent,
+    LmcResult,
     MixtureModel,
     dump_mixture,
     load_mixture,
 )
-from multimix.measures import MAX_STATES, _header, _logsumexp, _numbers, _row, _softmax
+from multimix.measures import (
+    MAX_STATES,
+    _header,
+    _logsumexp,
+    _numbers,
+    _Record,
+    _row,
+    _softmax,
+)
 from multimix.rng import make_rng
+from multimix.spectral import BalanceStatistic, ContractionReport
 
 
 def random_distribution(rng, m: int) -> FiniteDistribution:
@@ -138,6 +159,99 @@ def test_distribution_equality_compares_entries():
     assert d != d.probs.tolist()
     with pytest.raises(TypeError):
         hash(d)
+
+
+def _split_with_eigenvalues(vals):
+    split = split_spectrum(curie_weiss(3, 1.5), 2.0)
+    return dataclasses.replace(split, eigenvalues=vals)
+
+
+# each case: a constructor of the array argument, that argument, and the same
+# argument with one entry changed
+_RECORD_CASES = {
+    "SampleSet": (SampleSet, [[0.5, 1.0], [2.0, -1.0]], [[0.5, 1.0], [2.0, -1.5]]),
+    "BalanceStatistic": (
+        lambda c: BalanceStatistic(k=3, coefficients=c, value=float(np.linalg.norm(c))),
+        [0.3, -0.4],
+        [0.3, 0.4],
+    ),
+    "ContractionReport": (
+        lambda lhs: ContractionReport(
+            times=np.array([0.0, 1.0]),
+            lhs=lhs,
+            bound=np.array([1.0, 0.5]),
+            epsilon=0.1,
+            alpha=0.5,
+            holds=True,
+        ),
+        [0.9, 0.4],
+        [0.9, 0.45],
+    ),
+    "LmcResult": (
+        lambda flagged: LmcResult(SampleSet(np.zeros((2, 1))), flagged),
+        [False, False],
+        [False, True],
+    ),
+    "FieldNet": (
+        lambda fields: FieldNet(fields=fields, weights=np.array([0.5, 0.5]), radius=1.0, mesh=0.5),
+        [[0.0], [0.5]],
+        [[0.0], [-0.5]],
+    ),
+    "SpectralSplit": (
+        _split_with_eigenvalues,
+        [1.5],
+        [np.nextafter(1.5, 2.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORD_CASES))
+def test_array_records_compare_exactly_and_copy_their_input(name):
+    make, given, changed = _RECORD_CASES[name]
+    x = np.array(given)
+    record = make(x)
+    assert (record == make(x.copy())) is True
+    assert (record == make(np.array(changed))) is False
+    assert (record == FiniteDistribution.uniform(2)) is False
+    with pytest.raises(TypeError):
+        hash(record)
+    # the record holds a read-only copy; the caller's array stays theirs
+    assert x.flags.writeable
+
+
+def test_every_array_dataclass_is_a_record():
+    arrays_held, missing = set(), []
+    for info in pkgutil.iter_modules(multimix.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"multimix.{info.name}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                continue
+            if cls.__module__ != module.__name__:
+                continue
+            hints = typing.get_type_hints(cls).values()
+            if any(
+                isinstance(h, type)
+                and (issubclass(h, np.ndarray) or h.__module__.startswith("scipy.sparse"))
+                for h in hints
+            ):
+                arrays_held.add(cls.__name__)
+                if not issubclass(cls, _Record):
+                    missing.append(cls.__name__)
+    assert missing == []
+    assert arrays_held >= {
+        "FiniteDistribution",
+        "SampleSet",
+        "IsingModel",
+        "GeneratorMatrix",
+        "Spectrum",
+        "BalanceStatistic",
+        "ContractionReport",
+        "SpectralSplit",
+        "FieldNet",
+        "LmcResult",
+    }
 
 
 def test_distribution_capacity_cap():

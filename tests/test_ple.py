@@ -397,11 +397,18 @@ def test_fit_ignores_row_order_and_repetition(c10_fixture):
 
 
 def test_config_validation():
+    inf, nan = float("inf"), float("nan")
     for bad in (
         dict(radius=0.0),
+        dict(radius=inf),
+        dict(radius=nan),
         dict(radius=1.0, step=0.0),
+        dict(radius=1.0, step=inf),
+        dict(radius=1.0, step=nan),
         dict(radius=1.0, max_iters=0),
         dict(radius=1.0, tolerance=0.0),
+        dict(radius=1.0, tolerance=inf),
+        dict(radius=1.0, tolerance=nan),
     ):
         with pytest.raises(ValueError):
             PleConfig(**bad)
