@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import quad
+from scipy.special import erfcx
 
 from .errors import CapacityError, ParseError
 from .ising import IsingModel, PottsModel, potts_digits, states_matrix
@@ -80,9 +80,9 @@ class SpectralSplit(_Record):
         for name in ("j_plus", "j_tilde", "eigenvalues", "basis"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         coupling, _ = _feature_coupling(self.model)
-        if np.abs(self.j_plus + self.j_tilde - coupling).max() > 1e-10:
+        if not np.abs(self.j_plus + self.j_tilde - coupling).max() <= 1e-10:
             raise ValueError("split parts must add back to the coupling")
-        if self.eigenvalues.size and self.eigenvalues.min() <= self.threshold:
+        if self.eigenvalues.size and not self.eigenvalues.min() > self.threshold:
             raise ValueError("kept eigenvalues must exceed the threshold")
 
     @cached_property
@@ -120,10 +120,7 @@ class SpectralSplit(_Record):
         """
         features, base, proj = self.enumeration
         sums = features.reshape(base.size, self.model.n, -1).sum(axis=1)
-        _, first, orbit, counts = np.unique(
-            sums, axis=0, return_index=True, return_inverse=True, return_counts=True
-        )
-        orbit = orbit.reshape(-1)  # numpy 2.0.0 returns it as a column
+        first, orbit, counts = _group_rows(sums)
         for arr in (base, proj):
             if not np.abs(arr - arr[first][orbit]).max() <= 1e-12 * np.abs(arr).max():
                 return base, proj
@@ -139,6 +136,21 @@ class SpectralSplit(_Record):
     @property
     def dim(self) -> int:
         return self.j_plus.shape[0]
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse and count of each group of equal rows, as
+    `np.unique(rows, axis=0, ...)` returns them, from one stable lexsort
+    (first column primary) and a scan for the boundaries between runs."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    counts = np.diff(np.append(np.flatnonzero(starts), order.size))
+    return order[starts], group, counts
 
 
 def _features(model) -> np.ndarray:
@@ -315,19 +327,30 @@ def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: f
     """Upper bound on the truncated net mass relative to the kept mass.
 
     Z_H grows at most like exp(|H| * scale) while the Gaussian factor decays
-    like exp(-|H|^2 / (2 lam1)), so the tail integral is bounded radially.
+    like exp(-|H|^2 / (2 lam1)), so the tail is bounded by the radial
+    integral of s^(r-1) e^h(s) over s > R, h(s) = log_w - log_bulk +
+    s * scale - s^2 / (2 lam1), times the area of the unit (r-1)-sphere.
+
+    The integral is a truncated Gaussian moment in closed form. With
+    mu = lam1 * scale and sigma^2 = lam1 it is e^h(R) M_(r-1), where
+    M_k = integral over s > R of s^k e^(-((s-mu)^2 - (R-mu)^2) / (2 sigma^2)):
+    M_0 = sigma sqrt(pi/2) erfcx((R - mu) / (sigma sqrt 2)), M_1 = sigma^2 +
+    mu M_0 and M_k = mu M_(k-1) + sigma^2 (R^(k-1) + (k-1) M_(k-2)), by
+    parts. The radius always exceeds mu (see `_net_radius`), so erfcx has a
+    positive argument and no term cancels.
     """
     lam1 = float(split.eigenvalues.max())
     r = split.r
     _, base, _ = split.enumeration
     log_w = float(_logsumexp(base))
     area = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
-
-    def integrand(s: float) -> float:
-        return s ** (r - 1) * math.exp(log_w - log_bulk + s * scale - 0.5 * s * s / lam1)
-
-    tail, _ = quad(integrand, radius, np.inf)
-    return area * tail
+    mu = lam1 * scale
+    m0 = math.sqrt(0.5 * math.pi * lam1) * float(erfcx((radius - mu) / math.sqrt(2.0 * lam1)))
+    moments = [m0, lam1 + mu * m0]
+    for k in range(2, r):
+        moments.append(mu * moments[k - 1] + lam1 * (radius ** (k - 1) + (k - 1) * moments[k - 2]))
+    h = log_w - log_bulk + radius * scale - 0.5 * radius * radius / lam1
+    return area * math.exp(h) * moments[r - 1]
 
 
 def build_field_net(
@@ -338,7 +361,10 @@ def build_field_net(
     The mesh defaults to 1/(2 D sqrt(n)) for states in the D-cube on n sites.
     The radius starts at the analytic scale of the auxiliary Gaussian and
     doubles (at most six times) until the truncated mass is provably below a
-    quarter of the kept mass. Cell weights integrate the enumerated partition
+    quarter of the kept mass. That bound is a radial Gaussian tail, the
+    truncated moment of order r - 1 of N(lam1 * scale, lam1) beyond the
+    radius, written in closed form by erfcx and a two-term recurrence (see
+    `_tail_to_bulk`). Cell weights integrate the enumerated partition
     function of the remainder model against the Gaussian factor by midpoint
     quadrature with three sub-nodes per grid direction. At a fixed mesh the
     grid at 2R contains the grid at R, so a doubling integrates only the

@@ -202,7 +202,7 @@ class BalanceStatistic(_Record):
         if c.shape != (self.k - 1,):
             raise ValueError(f"expected {self.k - 1} coefficients, got shape {c.shape}")
         norm = float(np.linalg.norm(c))
-        if abs(self.value - norm) > 1e-12:
+        if not abs(self.value - norm) <= 1e-12:
             raise ValueError(f"value {self.value!r} differs from coefficient norm {norm!r}")
         object.__setattr__(self, "coefficients", c)
 
@@ -219,9 +219,21 @@ class ContractionReport(_Record):
     holds: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
-        object.__setattr__(self, "lhs", _readonly(self.lhs))
-        object.__setattr__(self, "bound", _readonly(self.bound))
+        times, lhs, bound = (_readonly(a) for a in (self.times, self.lhs, self.bound))
+        if not (times.ndim == 1 and lhs.shape == times.shape == bound.shape):
+            raise ValueError("times, lhs and bound must be 1-D arrays of one length")
+        if not all(np.isfinite(a).all() for a in (times, lhs, bound)):
+            raise ValueError("times, lhs and bound must be finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        # a relaxation rate, which a Spectrum admits down to -1e-8
+        if not (math.isfinite(self.alpha) and self.alpha >= -1e-8):
+            raise ValueError(f"alpha must be finite and >= -1e-8, got {self.alpha!r}")
+        if self.holds != bool(np.all(lhs <= bound + 1e-9)):
+            raise ValueError("holds flag contradicts lhs <= bound + 1e-9")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "bound", bound)
 
 
 def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatrix:

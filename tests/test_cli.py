@@ -38,6 +38,20 @@ def test_module_runs_from_the_source_tree():
     assert "experiment" in out.stdout
 
 
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import multimix, sys; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def cw5(tmp_path):
     path = tmp_path / "cw5.txt"

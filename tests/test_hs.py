@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -263,7 +264,7 @@ def antiferromagnet(n: int, beta: float) -> IsingModel:
     return IsingModel((beta / n) * (np.ones((n, n)) - np.eye(n)), np.zeros(n))
 
 
-@pytest.mark.parametrize(
+EXCHANGEABLE = pytest.mark.parametrize(
     "model, mesh, orbits",
     [(curie_weiss(n, 1.5), None, n + 1) for n in (5, 7, 9, 11)]
     + [(uniform_field(n, 0.2), None, n + 1) for n in (5, 7, 9, 11)]
@@ -275,6 +276,9 @@ def antiferromagnet(n: int, beta: float) -> IsingModel:
     + [f"cw-field-{n}" for n in (5, 7, 9, 11)]
     + ["potts-3-3", "potts-4-3", "potts-3-4"],
 )
+
+
+@EXCHANGEABLE
 def test_exchangeable_quadrature_sums_over_orbits(monkeypatch, model, mesh, orbits):
     (split, cells, net), (_, oracle_cells, oracle_net) = quadratures(model, mesh, monkeypatch)
     base, proj = split.orbit_rows
@@ -284,6 +288,54 @@ def test_exchangeable_quadrature_sums_over_orbits(monkeypatch, model, mesh, orbi
     if net is not None:
         assert np.array_equal(net.fields, oracle_net.fields)
         assert np.all(np.abs(net.weights - oracle_net.weights) <= 1e-12 * oracle_net.weights)
+
+
+@EXCHANGEABLE
+def test_orbit_grouping_matches_np_unique(model, mesh, orbits):
+    features, base, _ = split_spectrum(model, 2.0).enumeration
+    sums = features.reshape(base.size, model.n, -1).sum(axis=1)
+    first, orbit, counts = hs._group_rows(sums)
+    _, u_first, u_orbit, u_counts = np.unique(
+        sums, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    assert counts.size == orbits
+    assert np.array_equal(first, u_first)
+    assert np.array_equal(orbit, u_orbit.reshape(-1))
+    assert np.array_equal(counts, u_counts)
+
+
+@pytest.mark.parametrize(
+    "model, mesh, rank",
+    [
+        (curie_weiss(9, 1.5), None, 1),
+        (low_rank_ising(8, 2, [1.6, 1.3], 0.2, seed=0), None, 2),
+        (mean_field_potts(4, 3, 1.2), 0.75, 3),
+    ],
+    ids=["cw-9", "low-rank-8", "potts-4-3"],
+)
+def test_tail_bound_matches_adaptive_quadrature(model, mesh, rank):
+    from scipy.integrate import quad
+
+    split = split_spectrum(model, 2.0)
+    assert split.r == rank
+    scale = math.sqrt(model.n)
+    radius = hs._net_radius(split, scale)
+    _, _, log_bulk, _ = hs._grid_weights(split, radius, mesh or 0.5 / scale)
+    lam1 = float(split.eigenvalues.max())
+    log_w = float(_logsumexp(split.enumeration[1]))
+    area = 2.0 * math.pi ** (rank / 2.0) / math.gamma(rank / 2.0)
+
+    def integrand(s):
+        return s ** (rank - 1) * math.exp(log_w - log_bulk + s * scale - 0.5 * s * s / lam1)
+
+    tails = []
+    for _ in range(5):  # the start radius and the four doublings after it
+        oracle = area * quad(integrand, radius, np.inf, epsabs=0, epsrel=1e-12, limit=200)[0]
+        tails.append(hs._tail_to_bulk(split, radius, scale, log_bulk))
+        # from the fourth radius on both sides underflow to zero or a subnormal
+        assert math.isclose(tails[-1], oracle, rel_tol=1e-12, abs_tol=1e-300)
+        radius *= 2.0
+    assert tails[2] > 1e-300
 
 
 @pytest.mark.parametrize(
@@ -682,6 +734,14 @@ def test_spectral_split_equality_compares_entries():
     assert split != split.model
     with pytest.raises(TypeError):
         hash(split)
+
+
+def test_spectral_split_refuses_nan_parts_by_name():
+    split = split_spectrum(curie_weiss(3, 1.5), 2.0)
+    with pytest.raises(ValueError, match="add back to the coupling"):
+        dataclasses.replace(split, j_plus=np.full_like(split.j_plus, np.nan))
+    with pytest.raises(ValueError, match="exceed the threshold"):
+        dataclasses.replace(split, eigenvalues=np.full_like(split.eigenvalues, np.nan))
 
 
 def test_rank_zero_net_round_trip():

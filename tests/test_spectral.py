@@ -34,6 +34,8 @@ from multimix import spectral
 from multimix.hs import split_spectrum
 from multimix.rng import make_rng
 from multimix.spectral import (
+    BalanceStatistic,
+    ContractionReport,
     GeneratorMatrix,
     Spectrum,
     balance_statistic,
@@ -875,6 +877,37 @@ def test_verify_balance_contraction_stationary_and_degenerate():
     assert rep.holds
     with pytest.raises(ValueError, match=">= t0"):
         verify_balance_contraction(spec, mu0, 2, [0.5], t0=1.0)
+
+
+def test_balance_statistic_refuses_a_nan_value():
+    BalanceStatistic(k=2, coefficients=[0.1], value=0.1)
+    with pytest.raises(ValueError, match="differs from coefficient norm"):
+        BalanceStatistic(k=2, coefficients=[0.1], value=float("nan"))
+
+
+def test_contraction_report_refuses_incoherent_input_by_name():
+    good = dict(times=[0.0, 1.0], lhs=[1.0, 0.5], bound=[1.0, 0.6], epsilon=0.1, alpha=0.5)
+    ContractionReport(**good, holds=True)
+    ContractionReport(**{**good, "lhs": [1.0, 0.7]}, holds=False)
+    bad = [
+        ({"lhs": [1.0], "bound": [1.0, 2.0, 3.0]}, "1-D arrays of one length"),
+        ({"times": [[0.0, 1.0]]}, "1-D arrays of one length"),
+        ({"epsilon": -1.0}, "epsilon must be finite"),
+        ({"epsilon": float("inf")}, "epsilon must be finite"),
+        ({"alpha": float("nan")}, "alpha must be finite"),
+        ({"alpha": -1e-6}, "alpha must be finite"),
+        ({"lhs": [1.0, 0.7]}, "holds flag contradicts"),
+        ({"lhs": [1.0, float("nan")]}, "must be finite"),
+        ({"bound": [1.0, float("inf")]}, "must be finite"),
+    ]
+    for change, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ContractionReport(**{**good, **change}, holds=True)
+    # the builder still reports a rate a Spectrum admits just below zero
+    F = np.array([[1.0, 1.0], [1.0, -1.0]])
+    spec = Spectrum(np.array([-1e-9, -1e-9]), F, FiniteDistribution.uniform(2))
+    rep = verify_balance_contraction(spec, FiniteDistribution.delta(0, 2), 1, [0.0, 1.0])
+    assert rep.alpha == -1e-9 and rep.holds
 
 
 def test_degenerate_block_rotation_invariance():
