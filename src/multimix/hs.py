@@ -56,34 +56,40 @@ SANDWICH_LIMIT = math.exp(3.0)
 class SpectralSplit(_Record):
     """Coupling split J = J_plus + J_tilde at the threshold 1 - 1/c.
 
-    J_plus collects the eigendirections with eigenvalue above the threshold
-    (its rank factorization is kept as `eigenvalues` and `basis`), J_tilde is
-    the remainder, and `negative_trace` records the total magnitude of the
-    negative part of the spectrum. All of these live in feature space (see
-    `_features`). The model the split was taken from rides along so the
-    field-net weights can enumerate its states (`enumeration`, once) and
-    group them into site-permutation orbits (`orbit_rows`, derived from that
-    one enumeration). Two splits are equal when their models, arrays and
-    scalars agree exactly.
+    The split's fields are its inputs, the model and c >= 1; everything else
+    follows from one `eigh` of the model's feature coupling (see `_features`)
+    at construction and is read-only. J_plus collects the eigendirections
+    with eigenvalue above `threshold` (its rank factorization is kept as
+    `eigenvalues` and `basis`), J_tilde is the remainder, and
+    `negative_trace` records the total magnitude of the negative part of the
+    spectrum. The field-net weights enumerate the model's states once
+    (`enumeration`) and group them into site-permutation orbits
+    (`orbit_rows`, derived from that one enumeration). Two splits are equal
+    when their models and c agree exactly.
     """
 
     model: object
-    j_plus: np.ndarray
-    j_tilde: np.ndarray
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    negative_trace: float
     c: float
-    threshold: float
 
     def __post_init__(self):
-        for name in ("j_plus", "j_tilde", "eigenvalues", "basis"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        coupling, _ = _feature_coupling(self.model)
-        if not np.abs(self.j_plus + self.j_tilde - coupling).max() <= 1e-10:
-            raise ValueError("split parts must add back to the coupling")
-        if self.eigenvalues.size and not self.eigenvalues.min() > self.threshold:
-            raise ValueError("kept eigenvalues must exceed the threshold")
+        if not self.c >= 1.0:
+            raise ValueError("threshold parameter c must be at least 1")
+        object.__setattr__(self, "c", float(self.c))
+        J, _ = _feature_coupling(self.model)
+        vals, vecs = scipy.linalg.eigh(J)
+        keep = vals > self.threshold
+        eigenvalues = vals[keep]
+        basis = vecs[:, keep]
+        j_plus = (basis * eigenvalues) @ basis.T
+        parts = dict(eigenvalues=eigenvalues, basis=basis, j_plus=j_plus, j_tilde=J - j_plus)
+        for name, arr in parts.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "negative_trace", float(-vals[vals < 0.0].sum()) + 0.0)
+
+    @property
+    def threshold(self) -> float:
+        return 1.0 - 1.0 / self.c
 
     @cached_property
     def enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,31 +192,13 @@ def _feature_coupling(model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split_spectrum(model, c: float) -> SpectralSplit:
-    """Split the coupling spectrum at 1 - 1/c.
+    """Split the coupling spectrum at 1 - 1/c: `SpectralSplit(model, c)`.
 
     Directions with eigenvalue strictly above the threshold form the PSD
     low-rank part; everything else stays in the remainder. A PottsModel is
     first lifted to its one-hot feature coupling.
     """
-    if not c >= 1.0:
-        raise ValueError("threshold parameter c must be at least 1")
-    J, _ = _feature_coupling(model)
-    vals, vecs = scipy.linalg.eigh(J)
-    threshold = 1.0 - 1.0 / c
-    keep = vals > threshold
-    eigenvalues = vals[keep]
-    basis = vecs[:, keep]
-    j_plus = (basis * eigenvalues) @ basis.T
-    return SpectralSplit(
-        model=model,
-        j_plus=j_plus,
-        j_tilde=J - j_plus,
-        eigenvalues=eigenvalues,
-        basis=basis,
-        negative_trace=float(-vals[vals < 0.0].sum()) + 0.0,
-        c=float(c),
-        threshold=threshold,
-    )
+    return SpectralSplit(model, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +221,8 @@ class FieldNet(_Record):
         weights = _readonly(self.weights)
         if fields.ndim != 2 or weights.shape != (fields.shape[0],):
             raise ValueError("need one weight per field vector")
+        if weights.size == 0:
+            raise ValueError("a field net needs at least one field")
         if fields.shape[0] > MAX_FIELDS:
             raise CapacityError(f"{fields.shape[0]} fields exceed the {MAX_FIELDS} cap")
         if not (weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12):
@@ -358,7 +348,8 @@ def build_field_net(
 ) -> FieldNet:
     """Uniform field net over the kept eigendirections with quadrature weights.
 
-    The mesh defaults to 1/(2 D sqrt(n)) for states in the D-cube on n sites.
+    `n` is the split model's site count, and the mesh defaults to
+    1/(2 D sqrt(n)) for states in the D-cube on n sites.
     The radius starts at the analytic scale of the auxiliary Gaussian and
     doubles (at most six times) until the truncated mass is provably below a
     quarter of the kept mass. That bound is a radial Gaussian tail, the
@@ -370,8 +361,10 @@ def build_field_net(
     grid at 2R contains the grid at R, so a doubling integrates only the
     cells it adds.
     """
-    if not 0.0 < support_radius < math.inf or n < 1:
-        raise ValueError("need a finite positive support radius and site count")
+    if not 0.0 < support_radius < math.inf:
+        raise ValueError("need a finite positive support radius")
+    if n != split.model.n:
+        raise ValueError(f"n={n} is not the split model's site count {split.model.n}")
     if split.r > MAX_NET_RANK:
         raise CapacityError(f"rank {split.r} net would need (R/mesh)^{split.r} cells")
     scale = support_radius * math.sqrt(n)
@@ -424,17 +417,16 @@ def mixture_density(net: FieldNet, split: SpectralSplit, model):
 
 @dataclass(frozen=True)
 class SandwichCertificate:
-    """Extreme values of dpi2/dpi over all states and the pass verdict."""
+    """Extreme values of dpi2/dpi over all states. The verdict `passed` is
+    whether both lie within [1/SANDWICH_LIMIT, SANDWICH_LIMIT]; a NaN ratio
+    fails it."""
 
     min_ratio: float
     max_ratio: float
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed != (
-            self.min_ratio >= 1.0 / SANDWICH_LIMIT and self.max_ratio <= SANDWICH_LIMIT
-        ):
-            raise ValueError("pass flag contradicts the ratio interval")
+    @property
+    def passed(self) -> bool:
+        return bool(self.min_ratio >= 1.0 / SANDWICH_LIMIT and self.max_ratio <= SANDWICH_LIMIT)
 
 
 def certify_sandwich(
@@ -447,11 +439,7 @@ def certify_sandwich(
         raise ValueError("reference law must be strictly positive")
     ratio = pi2.probs / pi.probs
     lo, hi = float(ratio.min()), float(ratio.max())
-    return SandwichCertificate(
-        min_ratio=lo,
-        max_ratio=hi,
-        passed=bool(lo >= 1.0 / SANDWICH_LIMIT and hi <= SANDWICH_LIMIT),
-    )
+    return SandwichCertificate(min_ratio=lo, max_ratio=hi)
 
 
 def exact_mixture_refinement(pi: FiniteDistribution, weights, components):
@@ -467,6 +455,8 @@ def exact_mixture_refinement(pi: FiniteDistribution, weights, components):
     dists = [c.probs if isinstance(c, FiniteDistribution) else np.asarray(c, float) for c in components]
     if weights.ndim != 1 or weights.size != len(dists):
         raise ValueError("need one weight per component")
+    if not dists:
+        raise ValueError("need at least one mixture component")
     if not (weights.min() >= 0.0 and weights.max() < math.inf):
         raise ValueError("mixture weights must be finite and nonnegative")
     stack = np.stack(dists)

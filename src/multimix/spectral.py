@@ -189,34 +189,38 @@ class Spectrum(_Record):
 
 @dataclass(frozen=True, eq=False)
 class BalanceStatistic(_Record):
-    """Euclidean size of the initialization's overlap with eigenfunctions
-    2..k; coefficient i is the mean of eigenfunction i under the
-    initialization."""
+    """The initialization's overlap with eigenfunctions 2..k: coefficient i
+    is the mean of eigenfunction i under the initialization, a finite 1-D
+    array of k - 1 entries. `k` and the Euclidean size `value` follow from it."""
 
-    k: int
     coefficients: np.ndarray
-    value: float
 
     def __post_init__(self):
         c = _readonly(self.coefficients)
-        if c.shape != (self.k - 1,):
-            raise ValueError(f"expected {self.k - 1} coefficients, got shape {c.shape}")
-        norm = float(np.linalg.norm(c))
-        if not abs(self.value - norm) <= 1e-12:
-            raise ValueError(f"value {self.value!r} differs from coefficient norm {norm!r}")
+        if not (c.ndim == 1 and np.isfinite(c).all()):
+            raise ValueError(f"coefficients must be a finite 1-D array, got {c!r}")
         object.__setattr__(self, "coefficients", c)
+
+    @property
+    def k(self) -> int:
+        return self.coefficients.size + 1
+
+    @property
+    def value(self) -> float:
+        return float(np.linalg.norm(self.coefficients))
 
 
 @dataclass(frozen=True, eq=False)
 class ContractionReport(_Record):
-    """Exact chi-square decay against the balance-plus-gap envelope."""
+    """Exact chi-square decay `lhs` against the balance-plus-gap envelope
+    `bound` at `times`. The verdict `holds` is whether lhs <= bound + 1e-9
+    at every time."""
 
     times: np.ndarray
     lhs: np.ndarray
     bound: np.ndarray
     epsilon: float
     alpha: float
-    holds: bool
 
     def __post_init__(self):
         times, lhs, bound = (_readonly(a) for a in (self.times, self.lhs, self.bound))
@@ -229,11 +233,13 @@ class ContractionReport(_Record):
         # a relaxation rate, which a Spectrum admits down to -1e-8
         if not (math.isfinite(self.alpha) and self.alpha >= -1e-8):
             raise ValueError(f"alpha must be finite and >= -1e-8, got {self.alpha!r}")
-        if self.holds != bool(np.all(lhs <= bound + 1e-9)):
-            raise ValueError("holds flag contradicts lhs <= bound + 1e-9")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "bound", bound)
+
+    @property
+    def holds(self) -> bool:
+        return bool(np.all(self.lhs <= self.bound + 1e-9))
 
 
 def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatrix:
@@ -637,7 +643,7 @@ def balance_statistic(spectrum: Spectrum, mu0, k: int) -> BalanceStatistic:
     if spectrum.k < k:
         raise ValueError(f"spectrum holds {spectrum.k} eigenfunctions, need {k}")
     coeff = spectrum.eigenfunctions[:, 1:k].T @ mu0.probs
-    return BalanceStatistic(k=k, coefficients=coeff, value=float(np.linalg.norm(coeff)))
+    return BalanceStatistic(coeff)
 
 
 def _require_full(spectrum: Spectrum, what: str) -> None:
@@ -734,7 +740,4 @@ def verify_balance_contraction(
     lhs = chi2_trajectory(spectrum, mu0, t)
     chi0 = float(chi2_trajectory(spectrum, mu0, [t0])[0])
     bound = eps**2 + np.exp(-alpha * (t - t0)) * chi0
-    holds = bool(np.all(lhs <= bound + 1e-9))
-    return ContractionReport(
-        times=t, lhs=lhs, bound=bound, epsilon=eps, alpha=alpha, holds=holds
-    )
+    return ContractionReport(times=t, lhs=lhs, bound=bound, epsilon=eps, alpha=alpha)

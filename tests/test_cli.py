@@ -327,6 +327,9 @@ def test_decompose_reports_certificate_and_exports_net(cw5, tmp_path, capsys):
     assert main(["decompose", "--model", str(cw5), "--out", str(net_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["rank"] == 1
+    assert summary["threshold"] == 0.5
+    # the four dropped directions of beta/n (11' - I) at beta = 1.5 carry -0.3 each
+    assert summary["negative_trace"] == 1.1999999999999993
     assert summary["fields"] == 45
     assert summary["passed"] is True
     assert summary["min_ratio"] == pytest.approx(0.9934207207773794, abs=1e-12)

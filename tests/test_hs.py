@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -373,6 +374,10 @@ def test_net_input_validation():
         build_field_net(split, 0.0, 5)
     with pytest.raises(ValueError):
         build_field_net(split, 1.0, 5, mesh=-0.1)
+    # the mesh and radius scale with sqrt(n), so n must be the model's own
+    for n in (0, 4, 50):
+        with pytest.raises(ValueError, match=f"n={n} is not the split model's site count 5"):
+            build_field_net(split, 1.0, n)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive support radius"):
             build_field_net(split, bad, 5)
@@ -383,6 +388,8 @@ def test_net_input_validation():
 def test_field_net_validation():
     with pytest.raises(ValueError):
         FieldNet(fields=np.zeros((2, 3)), weights=np.ones(3), radius=1.0, mesh=0.1)
+    with pytest.raises(ValueError, match="at least one field"):
+        FieldNet(fields=np.zeros((0, 3)), weights=np.ones(0), radius=1.0, mesh=0.1)
     with pytest.raises(ValueError):
         FieldNet(
             fields=np.zeros((2, 3)),
@@ -460,10 +467,13 @@ def test_certificate_input_validation():
     hole = np.array([0.0, 0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
         certify_sandwich(FiniteDistribution(hole), uni4)
-    with pytest.raises(ValueError):
-        SandwichCertificate(min_ratio=0.5, max_ratio=2.0, passed=False)
-    with pytest.raises(ValueError):
-        SandwichCertificate(min_ratio=1e-4, max_ratio=2.0, passed=True)
+    # the verdict is derived from the two ratios, and a NaN ratio fails it
+    assert [f.name for f in dataclasses.fields(SandwichCertificate)] == ["min_ratio", "max_ratio"]
+    assert SandwichCertificate(min_ratio=0.5, max_ratio=2.0).passed is True
+    assert SandwichCertificate(min_ratio=1e-4, max_ratio=2.0).passed is False
+    nan = float("nan")
+    assert SandwichCertificate(min_ratio=nan, max_ratio=2.0).passed is False
+    assert SandwichCertificate(min_ratio=0.5, max_ratio=nan).passed is False
 
 
 def test_mixture_density_rejects_foreign_models():
@@ -545,6 +555,8 @@ def test_refinement_refuses_bad_weights_by_name():
     for bad in ([1.5, -0.5], [np.nan, 1.0], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="mixture weights must be finite and nonnegative"):
             exact_mixture_refinement(pi, bad, dists)
+    with pytest.raises(ValueError, match="at least one mixture component"):
+        exact_mixture_refinement(pi, [], [])
 
 
 def test_component_and_refined_stacks_are_adopted_read_only():
@@ -736,12 +748,59 @@ def test_spectral_split_equality_compares_entries():
         hash(split)
 
 
-def test_spectral_split_refuses_nan_parts_by_name():
-    split = split_spectrum(curie_weiss(3, 1.5), 2.0)
-    with pytest.raises(ValueError, match="add back to the coupling"):
-        dataclasses.replace(split, j_plus=np.full_like(split.j_plus, np.nan))
-    with pytest.raises(ValueError, match="exceed the threshold"):
-        dataclasses.replace(split, eigenvalues=np.full_like(split.eigenvalues, np.nan))
+def test_spectral_split_holds_only_its_inputs():
+    model = curie_weiss(5, 1.5)
+    split = SpectralSplit(model, 2)
+    assert [f.name for f in dataclasses.fields(split)] == ["model", "c"]
+    assert type(split.c) is float and split == split_spectrum(model, 2.0)
+    # derived parts cannot be set, so they cannot disagree with the inputs
+    with pytest.raises(TypeError):
+        dataclasses.replace(split, eigenvalues=2 * split.eigenvalues)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.basis = np.zeros_like(split.basis)
+    for name in ("eigenvalues", "basis", "j_plus", "j_tilde"):
+        assert not getattr(split, name).flags.writeable
+    with pytest.raises(ValueError, match="at least 1"):
+        SpectralSplit(model, float("nan"))
+
+
+def _eigh_split_parts(model, c):
+    """The split's parts by the formulas `split_spectrum` first assembled
+    them with, kept as the oracle."""
+    J, _ = hs._feature_coupling(model)
+    vals, vecs = scipy.linalg.eigh(J)
+    threshold = 1.0 - 1.0 / c
+    keep = vals > threshold
+    eigenvalues = vals[keep]
+    basis = vecs[:, keep]
+    j_plus = (basis * eigenvalues) @ basis.T
+    return dict(
+        j_plus=j_plus,
+        j_tilde=J - j_plus,
+        eigenvalues=eigenvalues,
+        basis=basis,
+        negative_trace=float(-vals[vals < 0.0].sum()) + 0.0,
+        threshold=threshold,
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        curie_weiss(5, 1.5),
+        low_rank_ising(8, 2, [1.6, 1.3], 0.2, seed=0),
+        mean_field_potts(4, 3, 1.2),
+    ],
+    ids=["curie-weiss", "low-rank", "potts"],
+)
+def test_spectral_split_parts_match_the_eigh_formulas_bitwise(model):
+    split = SpectralSplit(model, 2.0)
+    for name, want in _eigh_split_parts(model, 2.0).items():
+        got = getattr(split, name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        else:
+            assert float.hex(got) == float.hex(want), name
 
 
 def test_rank_zero_net_round_trip():

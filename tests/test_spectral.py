@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -879,16 +880,21 @@ def test_verify_balance_contraction_stationary_and_degenerate():
         verify_balance_contraction(spec, mu0, 2, [0.5], t0=1.0)
 
 
-def test_balance_statistic_refuses_a_nan_value():
-    BalanceStatistic(k=2, coefficients=[0.1], value=0.1)
-    with pytest.raises(ValueError, match="differs from coefficient norm"):
-        BalanceStatistic(k=2, coefficients=[0.1], value=float("nan"))
+def test_balance_statistic_derives_k_and_value():
+    stat = BalanceStatistic([3.0, -4.0])
+    assert [f.name for f in dataclasses.fields(stat)] == ["coefficients"]
+    assert (stat.k, stat.value) == (3, 5.0)
+    assert (BalanceStatistic([]).k, BalanceStatistic([]).value) == (1, 0.0)
+    for bad in ([[0.1]], 0.1, [0.1, float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match="finite 1-D array"):
+            BalanceStatistic(bad)
 
 
 def test_contraction_report_refuses_incoherent_input_by_name():
     good = dict(times=[0.0, 1.0], lhs=[1.0, 0.5], bound=[1.0, 0.6], epsilon=0.1, alpha=0.5)
-    ContractionReport(**good, holds=True)
-    ContractionReport(**{**good, "lhs": [1.0, 0.7]}, holds=False)
+    assert [f.name for f in dataclasses.fields(ContractionReport)] == list(good)
+    assert ContractionReport(**good).holds is True
+    assert ContractionReport(**{**good, "lhs": [1.0, 0.7]}).holds is False
     bad = [
         ({"lhs": [1.0], "bound": [1.0, 2.0, 3.0]}, "1-D arrays of one length"),
         ({"times": [[0.0, 1.0]]}, "1-D arrays of one length"),
@@ -896,13 +902,12 @@ def test_contraction_report_refuses_incoherent_input_by_name():
         ({"epsilon": float("inf")}, "epsilon must be finite"),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"alpha": -1e-6}, "alpha must be finite"),
-        ({"lhs": [1.0, 0.7]}, "holds flag contradicts"),
         ({"lhs": [1.0, float("nan")]}, "must be finite"),
         ({"bound": [1.0, float("inf")]}, "must be finite"),
     ]
     for change, message in bad:
         with pytest.raises(ValueError, match=message):
-            ContractionReport(**{**good, **change}, holds=True)
+            ContractionReport(**{**good, **change})
     # the builder still reports a rate a Spectrum admits just below zero
     F = np.array([[1.0, 1.0], [1.0, -1.0]])
     spec = Spectrum(np.array([-1e-9, -1e-9]), F, FiniteDistribution.uniform(2))
