@@ -9,9 +9,9 @@ acceptance predicate held and 1 if one failed. A bad config, a state space
 over a cap or a bad argument raises instead, before any file is written;
 only the CLI maps those errors to exit codes.
 
-Reruns with the same config and seeds produce byte-identical outputs. Task
-runtimes are recorded only when timings are requested, so the default output
-is stable across machines.
+Reruns with the same config and seeds produce byte-identical outputs at a
+fixed BLAS thread count. Task runtimes are recorded only when timings are
+requested, so the default output holds no timing.
 """
 
 from __future__ import annotations

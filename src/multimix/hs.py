@@ -280,36 +280,19 @@ def _cell_log_masses(split: SpectralSplit, coords: np.ndarray, mesh: float) -> n
     return _logsumexp(per_node, axis=1, overwrite=True) + r * math.log(mesh / 3.0)
 
 
-def _grid_weights(split: SpectralSplit, radius: float, mesh: float, known=None):
+def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
     """Grid coordinates, normalized weights, the log of the raw net mass and
-    the per-cell log masses of the mesh grid cells within the radius.
-
-    `known` is the (radius, per-cell log masses) of a smaller grid at the
-    same mesh, whose cells are a subset of this one: they keep their masses
-    and only the cells outside it are integrated. Cells stay in grid order,
-    so the weights are the same as from scratch.
-    """
+    the per-cell log masses of the mesh grid cells within the radius."""
     r = split.r
     steps = math.floor(radius / mesh)
     if (2 * steps + 1) ** r > 8 * MAX_FIELDS:
         raise CapacityError("field grid exceeds the net capacity")
     grids = np.meshgrid(*([np.arange(-steps, steps + 1)] * r), indexing="ij")
-    ticks = np.stack([g.ravel() for g in grids], axis=1)
-    coords = mesh * ticks
-    norms = np.linalg.norm(coords, axis=1)
-    inside = norms <= radius
-    count = int(inside.sum())
-    if count > MAX_FIELDS:
-        raise CapacityError(f"{count} fields exceed the {MAX_FIELDS} cap")
-    log_cells = np.empty(coords.shape[0])
-    fresh = inside
-    if known is not None:
-        old_radius, old_cells = known
-        old = (np.abs(ticks).max(axis=1) <= math.floor(old_radius / mesh)) & (norms <= old_radius)
-        log_cells[old] = old_cells
-        fresh = inside & ~old
-    log_cells[fresh] = _cell_log_masses(split, coords[fresh], mesh)
-    coords, log_cells = coords[inside], log_cells[inside]
+    coords = mesh * np.stack([g.ravel() for g in grids], axis=1)
+    coords = coords[np.linalg.norm(coords, axis=1) <= radius]
+    if coords.shape[0] > MAX_FIELDS:
+        raise CapacityError(f"{coords.shape[0]} fields exceed the {MAX_FIELDS} cap")
+    log_cells = _cell_log_masses(split, coords, mesh)
     return coords, _softmax(log_cells), float(_logsumexp(log_cells)), log_cells
 
 
@@ -357,9 +340,7 @@ def build_field_net(
     radius, written in closed form by erfcx and a two-term recurrence (see
     `_tail_to_bulk`). Cell weights integrate the enumerated partition
     function of the remainder model against the Gaussian factor by midpoint
-    quadrature with three sub-nodes per grid direction. At a fixed mesh the
-    grid at 2R contains the grid at R, so a doubling integrates only the
-    cells it adds.
+    quadrature with three sub-nodes per grid direction.
     """
     if not 0.0 < support_radius < math.inf:
         raise ValueError("need a finite positive support radius")
@@ -377,14 +358,12 @@ def build_field_net(
             fields=np.zeros((1, split.dim)), weights=np.ones(1), radius=0.0, mesh=mesh
         )
     radius = _net_radius(split, scale)
-    known = None
     for _ in range(7):
-        coords, weights, log_bulk, log_cells = _grid_weights(split, radius, mesh, known)
+        coords, weights, log_bulk, _ = _grid_weights(split, radius, mesh)
         if _tail_to_bulk(split, radius, scale, log_bulk) < 0.25:
             return FieldNet(
                 fields=coords @ split.basis.T, weights=weights, radius=radius, mesh=mesh
             )
-        known = (radius, log_cells)
         radius *= 2.0
     raise ValueError("net radius search did not confine the auxiliary field mass")
 
@@ -399,6 +378,10 @@ def mixture_density(net: FieldNet, split: SpectralSplit, model):
     """
     if model != split.model:
         raise ValueError("model does not match the one the split was taken from")
+    if net.fields.shape[1] != split.dim:
+        raise ValueError(
+            f"net fields have width {net.fields.shape[1]}, not the split's dimension {split.dim}"
+        )
     features, base, _ = split.enumeration
     potts = isinstance(model, PottsModel)
     pi2 = np.zeros(base.size)

@@ -23,13 +23,10 @@ from .rng import make_rng
 # every concentration radius a supported mixture can produce.
 DIVERGENCE_GUARD = 1e8
 
-_MC_SAMPLES = 100_000
 # perturb_score's field: this many sinusoidal waves, with frequencies drawn
 # uniformly from this range in units of one over the mixture's footprint
 _NOISE_WAVES = 8
 _NOISE_FREQ = (0.2, 1.0)
-# rows per block when a Monte Carlo moment is taken over _MC_SAMPLES draws
-_MC_BLOCK = 8192
 
 
 def _as_batch(x, d: int):
@@ -262,7 +259,10 @@ def perturb_score(
     vector fields, reproducible from the seed. Frequencies live below one over
     the mixture's footprint, the separation scale plus one component
     standard-deviation radius, so the field varies slowly where the mass
-    sits."""
+    sits. The scale takes E_pi |f|^2 of f(x) = sum_w m_w sin(omega_w . x +
+    phi_w) in closed form, drawing no samples: sin A sin B = (cos(A - B) -
+    cos(A + B)) / 2, and E cos(nu . x + c) = cos(nu . mu + c) exp(-nu' Sigma
+    nu / 2) under N(mu, Sigma), for nu = omega_v -+ omega_w."""
     # negated comparison, so that NaN fails too
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("perturbation size must be nonnegative and finite")
@@ -283,7 +283,7 @@ def perturb_score(
     def field(X: np.ndarray) -> np.ndarray:
         return np.dot(np.sin(np.dot(X, freqs) + phases), mix)
 
-    raw = _mean_square(field, model.sample(_MC_SAMPLES, rng))
+    raw = _mean_square(model, omegas, phases, mix)
     if raw < 1e-16:
         raise ValueError("perturbation field is degenerate on this target")
     scale = epsilon / math.sqrt(raw)
@@ -296,14 +296,19 @@ def perturb_score(
     return ScoreField(fn=fn, kind="perturbed", epsilon=float(epsilon))
 
 
-def _mean_square(field, X: np.ndarray) -> float:
-    """Mean of |field(x)|^2 over the rows of X, evaluated a block of rows at
-    a time so the (rows, waves) phase matrix never exists in full."""
+def _mean_square(model: MixtureModel, omegas, phases, mix) -> float:
+    """Exact E_pi |f|^2 of `perturb_score`'s field (see its docstring)."""
+    gram = mix @ mix.T
     total = 0.0
-    for lo in range(0, X.shape[0], _MC_BLOCK):
-        f = field(X[lo : lo + _MC_BLOCK])
-        total += float(np.einsum("nd,nd->", f, f))
-    return total / X.shape[0]
+    for sign in (-1.0, 1.0):
+        nu = omegas[:, None, :] + sign * omegas[None, :, :]
+        shift = phases[:, None] + sign * phases[None, :]
+        for p, comp in zip(model.weights, model.components):
+            spread = np.dot(nu, comp._chol)
+            decay = np.exp(-0.5 * np.einsum("vwd,vwd->vw", spread, spread))
+            terms = gram * np.cos(np.dot(nu, comp.mean) + shift) * decay
+            total -= 0.5 * sign * p * float(terms.sum())
+    return total
 
 
 def submixture(model: MixtureModel, subset) -> MixtureModel:

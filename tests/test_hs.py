@@ -174,7 +174,7 @@ def test_tilt_laws_share_pair_energies_bitwise():
     assert not shared.flags.writeable
 
 
-def test_doubled_net_reuses_the_inner_cells_bitwise():
+def test_doubled_net_is_the_final_grid_from_scratch():
     # Curie-Weiss n = 9 doubles its radius once; the net must equal the
     # grid at the final radius integrated from scratch
     _, split, _, _, _, _ = cw_pipeline(9)
@@ -184,16 +184,6 @@ def test_doubled_net_reuses_the_inner_cells_bitwise():
     coords, weights, _, _ = hs._grid_weights(split, net.radius, net.mesh)
     assert np.array_equal(net.weights, weights)
     assert np.array_equal(net.fields, coords @ split.basis.T)
-    # at rank 2 too, where the quadrature products take several terms
-    split = split_spectrum(low_rank_ising(5, 2, [1.6, 1.3], 0.2, seed=0), 2.0)
-    assert split.r == 2
-    inner = hs._grid_weights(split, 1.5, 0.25)
-    reused = hs._grid_weights(split, 3.0, 0.25, known=(1.5, inner[3]))
-    fresh = hs._grid_weights(split, 3.0, 0.25)
-    assert np.array_equal(reused[0], fresh[0])
-    assert np.array_equal(reused[1], fresh[1])
-    assert reused[2] == fresh[2]
-    assert np.array_equal(reused[3], fresh[3])
 
 
 @pytest.mark.parametrize(
@@ -487,6 +477,9 @@ def test_mixture_density_rejects_foreign_models():
         mixture_density(net, potts_split, mean_field_potts(3, 3, 1.3))
     with pytest.raises(ValueError):
         mixture_density(net, potts_split, model)
+    wide = build_field_net(split_spectrum(curie_weiss(6, 1.5), 2.0), 1.0, 6)
+    with pytest.raises(ValueError, match="net fields have width 6, not the split's dimension 5"):
+        mixture_density(wide, split, model)
 
 
 def test_enumeration_capacity():

@@ -197,7 +197,7 @@ def test_perturb_score_measured_error():
 
 def test_perturb_score_rejects_degenerate_noise(monkeypatch):
     m = MixtureModel([1.0], [GaussianComponent([0.0], [[1.0]])])
-    monkeypatch.setattr(langevin, "_mean_square", lambda field, X: 0.0)
+    monkeypatch.setattr(langevin, "_mean_square", lambda model, omegas, phases, mix: 0.0)
     with pytest.raises(ValueError, match="degenerate"):
         perturb_score(m, 0.2, seed=4)
     for eps in (-0.1, math.inf, math.nan):
@@ -513,9 +513,8 @@ def test_score_from_one_offset_is_bit_identical(name, model):
         assert np.array_equal(grad, comp.grad(X))
 
 
-def reference_perturbation(model: MixtureModel, epsilon: float, seed: int):
-    """The perturbation's scale from a full, unblocked 100 000-draw moment,
-    drawing exactly what perturb_score draws."""
+def rebuilt_field(model: MixtureModel, seed: int):
+    """The perturbation field rebuilt from the draws perturb_score takes."""
     waves = langevin._NOISE_WAVES
     rng = make_rng(seed)
     d = model.d
@@ -534,15 +533,69 @@ def reference_perturbation(model: MixtureModel, epsilon: float, seed: int):
     def field(X):
         return (np.sin(X @ omegas.T + phases) * amps) @ values
 
-    draws = field(model.sample(100_000, rng))
-    scale = epsilon / math.sqrt(np.mean(np.einsum("nd,nd->n", draws, draws)))
-    return scale, field
+    return field
+
+
+def quadrature_mean_square(model: MixtureModel, field) -> float:
+    """E_pi |f|^2 component by component: adaptive quad over 40 standard
+    deviations in d = 1, else a tensor Gauss-Hermite rule of 48 nodes per
+    axis."""
+    from scipy.integrate import quad
+
+    z, w = np.polynomial.hermite.hermgauss(48)
+    nodes = np.indices((z.size,) * model.d).reshape(model.d, -1).T
+    total = 0.0
+    for p, comp in zip(model.weights, model.components):
+        if model.d == 1:
+
+            def integrand(x):
+                f = field(np.array([[x]]))
+                return math.exp(-comp.potential(np.array([[x]]))[0]) * float(np.sum(f * f))
+
+            half = 40.0 * math.sqrt(comp.cov[0, 0])
+            lo, hi = comp.mean[0] - half, comp.mean[0] + half
+            value, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)
+        else:
+            f = field(comp.mean + math.sqrt(2.0) * z[nodes] @ comp._chol.T)
+            weights = w[nodes].prod(axis=1) / math.pi ** (model.d / 2.0)
+            value = float(weights @ np.einsum("nd,nd->n", f, f))
+        total += p * value
+    return total
+
+
+PERTURBATION_CASES = [(0.2, 1), (1.0, 9)]
 
 
 @pytest.mark.parametrize("name,model", list(oracle_mixtures())[::3])
-def test_perturb_score_blocked_moments_match_unblocked(name, model):
-    for eps, seed in ((0.2, 1), (1.0, 9)):
-        scale, field = reference_perturbation(model, eps, seed)
+def test_perturb_score_moment_matches_quadrature(monkeypatch, name, model):
+    moments = []
+    exact = langevin._mean_square
+
+    def spy(*args):
+        moments.append(exact(*args))
+        return moments[-1]
+
+    monkeypatch.setattr(langevin, "_mean_square", spy)
+    for eps, seed in PERTURBATION_CASES:
+        perturb_score(model, eps, seed=seed)
+        oracle = quadrature_mean_square(model, rebuilt_field(model, seed))
+        assert math.isclose(moments[-1], oracle, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_perturb_score_draws_no_samples(monkeypatch):
+    def refuse(self, count, rng):
+        raise AssertionError("perturb_score drew samples")
+
+    monkeypatch.setattr(MixtureModel, "sample", refuse)
+    for name, model in oracle_mixtures():
+        assert perturb_score(model, 0.2, seed=1).kind == "perturbed"
+
+
+@pytest.mark.parametrize("name,model", list(oracle_mixtures())[::3])
+def test_perturb_score_is_the_exact_scale_times_the_field(name, model):
+    for eps, seed in PERTURBATION_CASES:
+        field = rebuilt_field(model, seed)
+        scale = eps / math.sqrt(quadrature_mean_square(model, field))
         got = perturb_score(model, eps, seed=seed)
         X = model.sample(300, np.random.default_rng(seed))
         shift = got.evaluate(X) - model.score(X)
