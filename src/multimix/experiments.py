@@ -34,6 +34,7 @@ from scipy.special import ndtr
 
 from .errors import ParseError
 from .hs import (
+    GAP_TRANSFER,
     build_field_net,
     certify_sandwich,
     exact_mixture_refinement,
@@ -64,8 +65,6 @@ from .measures import SampleSet
 from .ple import PleConfig, learn_and_sample, row_norms
 from .rng import make_rng
 from .spectral import balance_statistic, build_glauber_generator, eigendecompose
-
-GAP_TRANSFER = math.exp(-6.0)
 
 CSV_HEADER = ("experiment", "parameters", "metric", "value", "stderr", "runtime_seconds")
 

@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.special import erfcx
 
 from .errors import CapacityError, ParseError
-from .ising import IsingModel, PottsModel, potts_digits, states_matrix
+from .ising import IsingModel, PottsModel, _group_rows, _orbit_values, potts_digits, states_matrix
 from .measures import (
     MAX_EXACT_STATES,
     FiniteDistribution,
@@ -47,9 +47,10 @@ MAX_NET_RANK = 3
 _BLOCK_ENTRIES = 1 << 17
 
 # Multiplicative sandwich accepted for the gap transfer: dpi2/dpi within
-# [e^-3, e^3] on every state, hence a factor e^6 between the two Dirichlet
-# form / variance ratios.
+# [e^-3, e^3] on every state moves each Dirichlet form and each variance by
+# at most e^3, so a spectral gap by at most e^6.
 SANDWICH_LIMIT = math.exp(3.0)
+GAP_TRANSFER = SANDWICH_LIMIT**-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,21 +117,17 @@ class SpectralSplit(_Record):
         count of a spin state, the colour counts of a Potts state. Its row
         holds E0 + log|orbit| and the projection of its first state, so a
         log-sum-exp over orbit rows is one over states. Constant means within
-        1e-12 of each array's largest magnitude: enumeration sums energies in
-        a state-dependent order, so an exchangeable law's entries spread by
-        ~1e-14 relative and never agree bitwise, and each summed exponent
-        then moves by at most that tolerance (the backward-error argument of
-        `spectral._exchangeable_levels`). A symmetry-breaking field or
+        the tolerance of `ising._orbit_values`. A symmetry-breaking field or
         coupling, a low-rank kept space and an antiferromagnet's kept space
         orthogonal to 1 are not orbit-invariant and keep the state rows.
         """
         features, base, proj = self.enumeration
         sums = features.reshape(base.size, self.model.n, -1).sum(axis=1)
         first, orbit, counts = _group_rows(sums)
-        for arr in (base, proj):
-            if not np.abs(arr - arr[first][orbit]).max() <= 1e-12 * np.abs(arr).max():
-                return base, proj
-        rows = base[first] + np.log(counts), proj[first]
+        e0, rep = (_orbit_values(arr, first, orbit) for arr in (base, proj))
+        if e0 is None or rep is None:
+            return base, proj
+        rows = e0 + np.log(counts), rep
         for arr in rows:
             arr.setflags(write=False)
         return rows
@@ -142,21 +139,6 @@ class SpectralSplit(_Record):
     @property
     def dim(self) -> int:
         return self.j_plus.shape[0]
-
-
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First index, inverse and count of each group of equal rows, as
-    `np.unique(rows, axis=0, ...)` returns them, from one stable lexsort
-    (first column primary) and a scan for the boundaries between runs."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.empty(order.size, dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    counts = np.diff(np.append(np.flatnonzero(starts), order.size))
-    return order[starts], group, counts
 
 
 def _features(model) -> np.ndarray:

@@ -180,6 +180,38 @@ def potts_digits(n: int, q: int) -> np.ndarray:
     return index_to_digits(np.arange(q**n), n, q)
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse and count of each group of equal rows, as
+    `np.unique(rows, axis=0, ...)` returns them, from one stable lexsort
+    (first column primary) and a scan for the boundaries between runs."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    counts = np.diff(np.append(np.flatnonzero(starts), order.size))
+    return order[starts], group, counts
+
+
+def _orbit_values(values: np.ndarray, first: np.ndarray, orbit: np.ndarray) -> np.ndarray | None:
+    """The one test of site-permutation symmetry: the representative rows
+    `values[first]` when every row i lies within tol = 1e-12 max|values| of
+    its orbit's, `values[first][orbit[i]]`, else None. Enumeration sums
+    energies in a state-dependent order, so an exchangeable law's values
+    spread by ~1e-14 relative and never agree bitwise. Representatives are a
+    backward error of tol per entry: a summed exponent moves by at most tol,
+    and a symmetric B with s stored entries per row and column has
+    ||A - B||_2 <= s tol, which bounds its eigenvalues' distance from A's
+    (Weyl) and its eigenvectors' residuals on A.
+    """
+    rep = values[first]
+    if not np.abs(values - rep[orbit]).max() <= 1e-12 * np.abs(values).max():
+        return None
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # exact quantities
 

@@ -393,7 +393,7 @@ def learn_and_sample(
     report = replace(report, epsilon_hat=eps)
     init = sample_exact(truth, m_init, cfg.seed + 1)
     gen = build_glauber_generator(exact_distribution(report.model))
-    bal = balance_statistic(eigendecompose(gen, 2), SampleSet(init), k=2)
     mu0 = empirical_distribution(init, truth.n)
+    bal = balance_statistic(eigendecompose(gen, 2), mu0, k=2)
     tv = _terminal_tv(gen, truth, mu0, horizon)
     return LearnReport(fit=report, horizon=horizon, tv=tv, exact=True, balance=bal)

@@ -24,7 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import CapacityError
-from .ising import _shared, empirical_distribution, states_matrix
+from .ising import _orbit_values, _shared, empirical_distribution, states_matrix
 from .measures import MAX_EXACT_STATES, FiniteDistribution, SampleSet, _readonly, _Record
 
 # law-independent structure, built once per (n, q) or n by ``ising._shared``
@@ -404,16 +404,8 @@ def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndar
     x ^ 2^i, every diagonal entry equals d_p = A[r_p, r_p] and every stored
     off-diagonal entry between levels p and p + 1 equals a_p = A[r_p, r_{p+1}],
     where p counts up spins and r_p = 2^p - 1 is the level representative.
-    Equal means within tol = 1e-12 max|A|: enumeration sums energies site
-    by site in a state-dependent order, so the entries of an exchangeable
-    law spread by up to ~1e-14 relative and never agree bitwise. The matrix
-    B holding the representative values then differs from A by at most tol
-    in each of the n + 1 stored entries of a row or column, so
-    ||A - B||_2 <= (n + 1) tol: the sector eigenvalues are A's within that
-    backward error (Weyl), and the sector eigenvectors' residuals on A stay
-    below it, far inside the 1e-7 residual check. O(nnz); the diagonal is
-    tested before the pattern, which rejects most other laws early. A is in
-    canonical CSR form, as every GeneratorMatrix holds it.
+    Equal is `ising._orbit_values`' test over the n + 1 stored entries of
+    each row; O(nnz) on the canonical CSR form every GeneratorMatrix holds.
     """
     m = A.shape[0]
     n = m.bit_length() - 1
@@ -421,23 +413,16 @@ def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndar
         A.indptr, np.arange(0, m * (n + 1) + 1, n + 1)
     ):
         return None
-    tol = 1e-12 * np.abs(A.data).max()
-    level, _, slot = _cube(n)
-    reps = (1 << np.arange(n + 1)) - 1
-    diag = A.diagonal()
-    d = diag[reps]
-    if not np.abs(diag - d[level]).max() <= tol:
-        return None
     # canonical rows hold n + 1 distinct sorted columns, so they are exactly
     # x and its n neighbours when they match the heat-bath pattern
     if not np.array_equal(A.indices, _heat_bath_pattern(n, 2)[2]):
         return None
-    data = A.data.reshape(m, n + 1)
-    # row r_p holds its p lower neighbours, itself, then r_{p+1} = r_p + 2^p
-    a = data[reps[:-1], np.arange(1, n + 1)]
-    if not np.abs(data - np.concatenate([a, d])[slot]).max() <= tol:
-        return None
-    return d, a
+    # row r_p holds its p lower neighbours, itself, then r_{p+1} = r_p + 2^p:
+    # d_p sits at flat position r_p (n + 1) + p of A.data, and a_p after it
+    p = np.arange(n + 1)
+    row = ((1 << p) - 1) * (n + 1) + p
+    levels = _orbit_values(A.data, np.append(row[:-1] + 1, row), _cube(n)[2].ravel())
+    return None if levels is None else (levels[n:], levels[:n])
 
 
 def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,10 +538,8 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
        n-cube (pi depends only on the number of up spins, as for Curie-Weiss,
        its Hubbard-Stratonovich components and the uniform law), A splits by
        total spin into tridiagonal blocks of order at most n + 1, solved by
-       LAPACK stevd; no dense copy of A is made. The test allows each
-       entry to differ from its level's value by 1e-12 max|A|, which is a
-       backward error ||A - B||_2 <= (n + 1) 1e-12 max|A| (see
-       ``_exchangeable_levels``).
+       LAPACK stevd; no dense copy of A is made. Entries may differ from
+       their level's value by the backward error of ``ising._orbit_values``.
     2. Even and odd halves. When A commutes bitwise with the state reversal
        x -> m - 1 - x and m is even, as for every spin law without a field,
        A is centrosymmetric and splits exactly into an even and an odd
@@ -564,7 +547,8 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
        quarter of the unsplit cost.
     3. Otherwise (a per-site field, an odd state count such as a q = 3 Potts
        chain, or a symmetry that holds only up to rounding) LAPACK solves a
-       dense copy of A whole.
+       dense copy of A whole. Beyond MAX_EXACT_STATES states routes 2 and 3
+       raise CapacityError instead of copying A.
 
     The routes agree on eigenvalues and on every eigenspace; inside a
     degenerate eigenspace each returns its own orthonormal basis (on the
@@ -586,6 +570,8 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     levels = _exchangeable_levels(gen.A)
     if levels is not None:
         w, F = _sector_eigh(*levels, k)
+    elif m > MAX_EXACT_STATES:
+        raise CapacityError(f"{m} states exceed the dense cap of {MAX_EXACT_STATES}")
     elif m % 2 == 0 and _reversal_symmetric(gen.A):
         w, F = _split_eigh(gen.A, k)
     else:
@@ -685,9 +671,9 @@ def evolve_distribution(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float)
     semigroup action is taken directly on the CSR generator (Al-Mohy and
     Higham's truncated Taylor action, ``expm_multiply``); on longer horizons
     the matrix exponential (scaling and squaring) of a dense copy of A is
-    applied to the vector. Round-off can leave entries a hair below zero;
-    anything past -1e-10 is treated as an error, the rest is clipped and
-    renormalized.
+    applied to the vector, except beyond MAX_EXACT_STATES states. Round-off
+    can leave entries a hair below zero; anything past -1e-10 is treated as
+    an error, the rest is clipped and renormalized.
     """
     if mu0.m != gen.m:
         raise ValueError(f"state-space mismatch: {mu0.m} vs {gen.m}")
@@ -705,7 +691,7 @@ def evolve_distribution(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float)
     #   m=1024 (10.7)          action through t=100 (12 vs 550 ms at t=1)
     # The rule below switches at t = 2.4, 4.3, 7.4, 13, 24: on the faster
     # side or conservative from m=256 up; below that either costs < 5 ms.
-    if t * scipy.sparse.linalg.norm(gen.A, 1) <= gen.m / 4:
+    if gen.m > MAX_EXACT_STATES or t * scipy.sparse.linalg.norm(gen.A, 1) <= gen.m / 4:
         out = sq * scipy.sparse.linalg.expm_multiply(-t * gen.A, v)
     else:
         out = sq * (scipy.linalg.expm(-t * gen.A.toarray()) @ v)

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multimix import CapacityError, FiniteDistribution, ParseError, hs
+from multimix import CapacityError, FiniteDistribution, ParseError, hs, ising
 from multimix.hs import (
+    GAP_TRANSFER,
     MAX_FIELDS,
     SANDWICH_LIMIT,
     FieldNet,
@@ -36,8 +37,6 @@ from multimix.ising import (
 )
 from multimix.measures import _logsumexp, _softmax
 from multimix.spectral import build_glauber_generator, eigendecompose
-
-GAP_TRANSFER = math.exp(-6.0)
 
 
 def zero_model(n: int) -> IsingModel:
@@ -285,7 +284,7 @@ def test_exchangeable_quadrature_sums_over_orbits(monkeypatch, model, mesh, orbi
 def test_orbit_grouping_matches_np_unique(model, mesh, orbits):
     features, base, _ = split_spectrum(model, 2.0).enumeration
     sums = features.reshape(base.size, model.n, -1).sum(axis=1)
-    first, orbit, counts = hs._group_rows(sums)
+    first, orbit, counts = ising._group_rows(sums)
     _, u_first, u_orbit, u_counts = np.unique(
         sums, axis=0, return_index=True, return_inverse=True, return_counts=True
     )

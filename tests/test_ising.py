@@ -99,6 +99,27 @@ def test_small_enumerations_are_cached_read_only():
     assert np.array_equal(states_matrix(15), big)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda dev: np.array([8.0, 0.0, dev]),
+        lambda dev: np.array([[8.0, -8.0], [1.0, 0.0], [1.0, dev]]),
+    ],
+    ids=["1d", "2d"],
+)
+def test_orbit_values_accepts_up_to_the_tolerance(rows):
+    # orbits {0} and {1, 2}; |values| peaks at 8, so tol = 8e-12 exactly and
+    # row 2 leaves its representative, row 1, by exactly |dev|
+    tol = 1e-12 * 8.0
+    first, orbit = np.array([0, 1]), np.array([0, 1, 1])
+    for dev in (0.1 * tol, tol, -tol):
+        values = rows(dev)
+        got = ising._orbit_values(values, first, orbit)
+        assert np.array_equal(got, values[first])
+    for dev in (np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0), 10.0 * tol):
+        assert ising._orbit_values(rows(dev), first, orbit) is None
+
+
 def test_enumeration_cache_is_thread_safe(monkeypatch):
     # eight threads race to fill empty caches; each n must end up with one
     # enumeration, and one generator pattern and cube structure, that every

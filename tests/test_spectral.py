@@ -494,6 +494,50 @@ def test_eigenpair_residual_check_covers_every_column_block():
             eigendecompose(gen)
 
 
+@pytest.mark.parametrize("scale, exchangeable", [(0.1, True), (10.0, False)])
+def test_exchangeable_levels_reads_every_diagonal_entry(scale, exchangeable):
+    # one diagonal entry off its level's representative (state 5 has level 2,
+    # represented by state 3) by a multiple of the 1e-12 max|A| tolerance
+    gen = build_glauber_generator(exact_distribution(curie_weiss(7, 1.5)))
+    A = gen.A.copy()
+    A.data[A.indptr[5] + 2] += scale * 1e-12 * np.abs(A.data).max()
+    assert A.indices[A.indptr[5] + 2] == 5
+    levels = spectral._exchangeable_levels(A)
+    if exchangeable:
+        for got, want in zip(levels, spectral._exchangeable_levels(gen.A)):
+            assert np.array_equal(got, want)
+    else:
+        assert levels is None
+
+
+def test_dense_routes_refuse_beyond_the_dense_cap(monkeypatch):
+    # 128-state generators built under the real cap, which is then lowered
+    # to 64: the routes that copy A densely raise before copying, while the
+    # sector route and the semigroup action copy nothing and still run
+    fielded, low_rank, cw = (
+        build_glauber_generator(exact_distribution(model))
+        for model in (
+            IsingModel(curie_weiss(7, 1.5).J, np.linspace(0.05, 0.15, 7)),
+            low_rank_ising(7, 2, [1.5, 1.3], 0.2, seed=4),
+            curie_weiss(7, 1.5),
+        )
+    )
+    assert spectral._reversal_symmetric(low_rank.A)
+    mu0 = empirical_distribution(sample_exact(curie_weiss(7, 1.5), 50, seed=3), 7)
+    want_spec, want_mu = eigendecompose(cw), evolve_distribution(cw, mu0, 100.0)
+    monkeypatch.setattr(spectral, "MAX_EXACT_STATES", 64)
+    with mock.patch.object(scipy.sparse.csr_array, "toarray") as toarray:
+        with pytest.raises(CapacityError, match="128 states exceed the dense cap of 64"):
+            eigendecompose(fielded)
+        with mock.patch.object(spectral, "_exchangeable_levels", return_value=None):
+            with pytest.raises(CapacityError, match="128 states exceed the dense cap of 64"):
+                eigendecompose(low_rank)
+        assert eigendecompose(cw) == want_spec
+        got = evolve_distribution(cw, mu0, 100.0)
+    assert not toarray.called
+    assert tv_distance(got, want_mu) <= 1e-10
+
+
 @pytest.fixture
 def cold_caches(monkeypatch):
     # every shared structure is rebuilt on first use in the test
