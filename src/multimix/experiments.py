@@ -258,6 +258,10 @@ def _exp_balance_concentration(
     seeds, runner, *, n=8, k=4, m=(50, 200, 800, 3200), redraws=200,
     slope_window=(-0.65, -0.35), model=None,
 ):
+    if redraws < 1:
+        raise ValueError("balance-concentration parameter 'redraws' must be >= 1")
+    if min(m) < 1 or len(set(m)) < 2:
+        raise ValueError("balance-concentration parameter 'm' needs 2 distinct sizes >= 1")
     model = _ising_fixture(n) if model is None else load_ising_model(Path(model).read_text())
     spectrum = eigendecompose(build_glauber_generator(exact_distribution(model)), k)
     base_seed = seeds[0]
@@ -404,6 +408,9 @@ def _exp_learn_ising_e2e(
 
 
 def _exp_potts_gap(seeds, runner, *, n=4, q=3, beta=1.2, c=2.0, component_gap_sample=64):
+    if component_gap_sample < 1:
+        raise ValueError("potts-gap parameter 'component_gap_sample' must be >= 1")
+
     def task(size):
         label = f"n={size} q={q} beta={beta}"
         model = mean_field_potts(size, q, beta)

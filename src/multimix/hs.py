@@ -8,7 +8,8 @@ module performs the split, builds the discrete field net with its weights,
 certifies the multiplicative sandwich by full enumeration, and reweights the
 net into an exact mixture once the certificate holds.
 
-The pipeline is written once, over a feature map: an Ising state is its own
+The pipeline is written once, over the feature map and energy that `ising`
+owns (`ising._features`, `ising._energies`): an Ising state is its own
 feature vector, a Potts state is its site-major one-hot coloring. Each split
 enumerates its states once, and a field h tilts every state by <h, features>.
 When the split's remainder energies and kept projections are invariant under
@@ -28,7 +29,9 @@ import scipy.linalg
 from scipy.special import erfcx
 
 from .errors import CapacityError, ParseError
-from .ising import IsingModel, PottsModel, _group_rows, _orbit_values, potts_digits, states_matrix
+from .ising import (
+    IsingModel, PottsModel, _energies, _feature_coupling, _features, _group_rows, _orbit_values
+)
 from .measures import (
     MAX_EXACT_STATES,
     FiniteDistribution,
@@ -58,15 +61,14 @@ class SpectralSplit(_Record):
     """Coupling split J = J_plus + J_tilde at the threshold 1 - 1/c.
 
     The split's fields are its inputs, the model and c >= 1; everything else
-    follows from one `eigh` of the model's feature coupling (see `_features`)
-    at construction and is read-only. J_plus collects the eigendirections
-    with eigenvalue above `threshold` (its rank factorization is kept as
-    `eigenvalues` and `basis`), J_tilde is the remainder, and
-    `negative_trace` records the total magnitude of the negative part of the
-    spectrum. The field-net weights enumerate the model's states once
-    (`enumeration`) and group them into site-permutation orbits
-    (`orbit_rows`, derived from that one enumeration). Two splits are equal
-    when their models and c agree exactly.
+    follows from one `eigh` of the model's feature coupling at construction
+    and is read-only. J_plus collects the eigendirections with eigenvalue
+    above `threshold` (its rank factorization is kept as `eigenvalues` and
+    `basis`), J_tilde is the remainder, and `negative_trace` records the
+    total magnitude of the negative part of the spectrum. The field-net
+    weights enumerate the model's states once (`enumeration`) and group
+    them into site-permutation orbits (`orbit_rows`, derived from that one
+    enumeration). Two splits are equal when their models and c agree exactly.
     """
 
     model: object
@@ -94,16 +96,16 @@ class SpectralSplit(_Record):
 
     @cached_property
     def enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feature rows of every state, base energies E0 under J_tilde and
-        per-state projections onto the kept eigenbasis, computed once."""
+        """Feature rows of every state, base energies E0 under J_tilde (the
+        model's energy less the kept quadratic form) and per-state
+        projections onto the kept eigenbasis, computed once."""
+        q, n = self.model.q, self.model.n
+        if q**n > MAX_EXACT_STATES:
+            raise CapacityError(f"{q}**{n} states exceed the exact cap")
         features = _features(self.model)
-        coupling, field = _feature_coupling(self.model)
-        full = 0.5 * np.einsum("xi,xi->x", features @ coupling, features)
-        full = full + features @ field
         proj = features @ self.basis
-        # E0 = full energy minus the quadratic form of the kept part
-        base = full - 0.5 * (proj * proj) @ self.eigenvalues
-        for arr in (features, base, proj):
+        base = _energies(self.model) - 0.5 * (proj * proj) @ self.eigenvalues
+        for arr in (base, proj):
             arr.setflags(write=False)
         return features, base, proj
 
@@ -139,38 +141,6 @@ class SpectralSplit(_Record):
     @property
     def dim(self) -> int:
         return self.j_plus.shape[0]
-
-
-def _features(model) -> np.ndarray:
-    """Feature vector of every state, one row per state index.
-
-    An Ising state is its own spin vector. A Potts state is its site-major
-    one-hot coloring, shape (q**n, n*q): column i*q + c is 1 where site i
-    has color c, matching the kron(block, I_q) coupling.
-    """
-    if isinstance(model, PottsModel):
-        if model.q**model.n > MAX_EXACT_STATES:
-            raise CapacityError(f"{model.q}**{model.n} states exceed the exact cap")
-        digits = potts_digits(model.n, model.q)
-        onehot = digits[:, :, None] == np.arange(model.q)
-        return onehot.reshape(digits.shape[0], -1).astype(float)
-    if 1 << model.n > MAX_EXACT_STATES:
-        raise CapacityError(f"2**{model.n} states exceed the exact cap")
-    return states_matrix(model.n)
-
-
-def _feature_coupling(model) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling J and field b of the energy (1/2) f'Jf + b'f on features f.
-
-    For a Potts model agreement counts become the quadratic form
-    (beta/n) (11' - I) (x) I_q, diagonal already zero, with no field.
-    """
-    if isinstance(model, PottsModel):
-        block = (model.beta / model.n) * (np.ones((model.n, model.n)) - np.eye(model.n))
-        return np.kron(block, np.eye(model.q)), np.zeros(model.n * model.q)
-    if isinstance(model, IsingModel):
-        return model.J, model.b
-    raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
 
 
 def split_spectrum(model, c: float) -> SpectralSplit:

@@ -73,6 +73,10 @@ class IsingModel(_Record):
     def n(self) -> int:
         return self.J.shape[0]
 
+    @property
+    def q(self) -> int:
+        return 2
+
     def _tilts(self, fields) -> tuple["IsingModel", ...]:
         """One model per row h of `fields`: this coupling, shared without a
         second check, with the field b + h. The tilts also share the pair
@@ -118,6 +122,7 @@ class PottsModel:
 
 _cache_lock = threading.RLock()
 _states_cache: dict[int, np.ndarray] = {}
+_onehot_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _shared(cache: dict, key, states: int, build):
@@ -216,36 +221,54 @@ def _orbit_values(values: np.ndarray, first: np.ndarray, orbit: np.ndarray) -> n
 # exact quantities
 
 
-def _pair_energies(S: np.ndarray, J: np.ndarray) -> np.ndarray:
-    pairs = 0.5 * np.einsum("xi,xi->x", S @ J, S)
-    pairs.setflags(write=False)
-    return pairs
-
-
-def ising_energy_vector(model: IsingModel) -> np.ndarray:
-    """log pi(x) + log Z for every state, i.e. (1/2) x'Jx + b'x."""
-    S = states_matrix(model.n)
-    shared = getattr(model, "_pairs", None)
-    if shared is None:
-        pairs = _pair_energies(S, model.J)
-    else:
-        pairs = _shared(shared, "pairs", S.shape[0], lambda: _pair_energies(S, model.J))
-    return pairs + S @ model.b
-
-
-def potts_energy_vector(model: PottsModel) -> np.ndarray:
-    D = potts_digits(model.n, model.q)
-    counts = (D[:, :, None] == np.arange(model.q)).sum(axis=1)
-    pairs = 0.5 * (counts * (counts - 1)).sum(axis=1)
-    return (model.beta / model.n) * pairs
-
-
-def _energy_vector(model) -> np.ndarray:
-    if isinstance(model, IsingModel):
-        return ising_energy_vector(model)
+def _features(model) -> np.ndarray:
+    """Read-only feature rows of every state: an Ising state's spins, or a
+    Potts state's site-major one-hot coloring, column i*q + c set where site
+    i has color c (matching the kron(block, I_q) coupling), shared per
+    (n, q) up to 2^14 states like `states_matrix`."""
     if isinstance(model, PottsModel):
-        return potts_energy_vector(model)
+        n, q = model.n, model.q
+
+        def build():
+            onehot = potts_digits(n, q)[:, :, None] == np.arange(q)
+            onehot = onehot.reshape(q**n, n * q).astype(float)
+            onehot.setflags(write=False)
+            return onehot
+
+        return _shared(_onehot_cache, (n, q), q**n, build)
+    if isinstance(model, IsingModel):
+        return states_matrix(model.n)
     raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
+
+
+def _feature_coupling(model) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling J and field b of the energy (1/2) f'Jf + b'f on features f.
+
+    For a Potts model agreement counts become the quadratic form
+    (beta/n) (11' - I) (x) I_q, diagonal already zero, with no field.
+    """
+    if isinstance(model, PottsModel):
+        block = (model.beta / model.n) * (np.ones((model.n, model.n)) - np.eye(model.n))
+        return np.kron(block, np.eye(model.q)), np.zeros(model.n * model.q)
+    if isinstance(model, IsingModel):
+        return model.J, model.b
+    raise TypeError(f"expected IsingModel or PottsModel, got {type(model).__name__}")
+
+
+def _energies(model) -> np.ndarray:
+    """log pi(x) + log Z for every state, the one energy of both model kinds:
+    (1/2) f'Jf + b'f over `_features` f and `_feature_coupling` (J, b). The
+    tilts of one `IsingModel._tilts` family share their pairs (1/2) f'Jf."""
+    F = _features(model)
+    J, b = _feature_coupling(model)
+
+    def pairs():
+        out = 0.5 * np.einsum("xi,xi->x", F @ J, F)
+        out.setflags(write=False)
+        return out
+
+    shared = getattr(model, "_pairs", None)
+    return (pairs() if shared is None else _shared(shared, "pairs", F.shape[0], pairs)) + F @ b
 
 
 def exact_distribution(model) -> FiniteDistribution:
@@ -255,7 +278,7 @@ def exact_distribution(model) -> FiniteDistribution:
     that a CapacityError is raised. Probabilities are normalized through
     log-sum-exp, so strong couplings do not overflow.
     """
-    return FiniteDistribution(_softmax(_energy_vector(model)))
+    return FiniteDistribution(_softmax(_energies(model)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import CapacityError
-from .ising import _orbit_values, _shared, empirical_distribution, states_matrix
+from .ising import _orbit_values, _shared, empirical_distribution, index_to_digits, states_matrix
 from .measures import MAX_EXACT_STATES, FiniteDistribution, SampleSet, _readonly, _Record
 
 # law-independent structure, built once per (n, q) or n by ``ising._shared``
@@ -312,13 +312,10 @@ def _heat_bath_pattern(n: int, q: int):
     def build():
         m = q**n
         idx = np.arange(m)
-        shifts = np.arange(1, q)[:, None]
-        cols = np.empty((1 + n * (q - 1), m), dtype=np.int64)
-        cols[0] = idx
-        for i in range(n):
-            digit = (idx // q**i) % q
-            nb = idx + ((digit + shifts) % q - digit) * q**i
-            cols[1 + i * (q - 1) : 1 + (i + 1) * (q - 1)] = nb
+        # block i, row s - 1: each state with the digit of site i moved on by s
+        digits = index_to_digits(idx, n, q).T[:, None, :]
+        moved = ((digits + np.arange(1, q)[:, None]) % q - digits) * q ** np.arange(n)[:, None, None]
+        cols = np.vstack([idx, (idx + moved).reshape(-1, m)])
         gather = (np.argsort(cols, axis=0) * m + idx).T.ravel()
         indices = cols.ravel()[gather]
         indptr = np.arange(0, cols.size + 1, cols.shape[0])
@@ -350,22 +347,21 @@ def _cube(n: int):
     as CSR, (U f)(x) = sum of f(x - i) over i in x; and, for each entry of
     the generator pattern (x and its n neighbours, sorted), its slot in the
     vector [a_0 .. a_{n-1}, d_0 .. d_n] of level entries (see
-    ``_exchangeable_levels``).
+    ``_exchangeable_levels``): a row at level p holds p lower neighbours
+    (slot p - 1), then x (slot n + p), then n - p upper ones (slot p).
     """
 
     def build():
         m = 1 << n
-        idx = np.arange(m)
         ups = states_matrix(n) > 0
         level = ups.sum(axis=1)
         rows, bit = np.nonzero(ups)
         up = scipy.sparse.csr_array(
             (np.ones(rows.size), rows ^ (1 << bit), np.append(0, np.cumsum(level))), shape=(m, m)
         )
-        cols = _heat_bath_pattern(n, 2)[2].reshape(m, n + 1)
-        # an edge between levels p and p + 1 reads a_p, the diagonal d_p
-        slot = np.minimum(level[:, None], level[cols])
-        slot[cols == idx[:, None]] = n + level
+        place = np.arange(n + 1)
+        slot = level[:, None] - (place < level[:, None])
+        slot[place == level[:, None]] = n + level
         for arr in (level, up.data, up.indices, up.indptr, slot):
             arr.setflags(write=False)
         return level, up, slot
@@ -373,9 +369,9 @@ def _cube(n: int):
     return _shared(_cubes, n, 1 << n, build)
 
 
-def _harmonic_basis(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_basis(n: int, j: int, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The states of level j and an orthonormal basis of the weight-j
-    harmonics on them, built once per (n, j).
+    harmonics on them, built once per (n, j) from the cube's state levels.
 
     The basis is the kernel of D'D for the map D from j-sets to the
     (j-1)-sets inside them: D'D is j on the diagonal and 1 where two j-sets
@@ -385,7 +381,6 @@ def _harmonic_basis(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """
 
     def build():
-        level = _cube(n)[0]
         base = np.flatnonzero(level == j)
         share = level[base[:, None] & base[None, :]] == j - 1
         mult = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
@@ -397,8 +392,9 @@ def _harmonic_basis(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return _shared(_harmonics, (n, j), 1 << n, build)
 
 
-def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray] | None:
-    """Level entries (d_p, a_p) of an exchangeable nearest-neighbour A, or None.
+def _exchangeable_levels(A: scipy.sparse.csr_array):
+    """Level entries (d_p, a_p) of an exchangeable nearest-neighbour A and
+    the `_cube` they were read with, for ``_sector_eigh``; or None.
 
     A qualifies when m = 2^n, row x stores exactly x and its n neighbours
     x ^ 2^i, every diagonal entry equals d_p = A[r_p, r_p] and every stored
@@ -421,17 +417,19 @@ def _exchangeable_levels(A: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndar
     # d_p sits at flat position r_p (n + 1) + p of A.data, and a_p after it
     p = np.arange(n + 1)
     row = ((1 << p) - 1) * (n + 1) + p
-    levels = _orbit_values(A.data, np.append(row[:-1] + 1, row), _cube(n)[2].ravel())
-    return None if levels is None else (levels[n:], levels[:n])
+    cube = _cube(n)
+    levels = _orbit_values(A.data, np.append(row[:-1] + 1, row), cube[2].ravel())
+    return None if levels is None else (levels[n:], levels[:n], cube)
 
 
-def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _sector_eigh(d: np.ndarray, a: np.ndarray, cube, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bottom k eigenpairs of an exchangeable nearest-neighbour A on the
     n-cube from its total-spin sectors (Dicke basis; the magnetisation-chain
     structure of Levin, Luczak and Peres, PTRF 2010).
 
     Index states by the set x of up spins and let U add one spin:
-    (U f)(x) = sum of f(x - i) over i in x. For a harmonic phi of weight j
+    (U f)(x) = sum of f(x - i) over i in x; `cube` is ``_cube(n)``, which
+    holds the levels |x| and U. For a harmonic phi of weight j
     (a function on j-sets that sums to zero over the j-sets containing any
     (j-1)-set) the vectors U^t phi, t = 0..n-2j, span an A-invariant space
     on levels j..n-j where A acts as the tridiagonal block with diagonal d_p
@@ -461,7 +459,7 @@ def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     w_all, key = np.concatenate(w_all), np.concatenate(key)
     order = np.argsort(w_all, kind="stable")[:k]
     m = 1 << n
-    level, up, _ = _cube(n)
+    level, up, _ = cube
     # built transposed, one row per eigenvector, so each sector's rows are a
     # contiguous gather; the transpose hands back column-major vectors
     vt = np.empty((order.size, m))
@@ -469,7 +467,7 @@ def _sector_eigh(d: np.ndarray, a: np.ndarray, k: int) -> tuple[np.ndarray, np.n
         picked = np.flatnonzero(key[order, 0] == j)
         b, h = key[order[picked], 1], key[order[picked], 2]
         y = sectors[j]
-        base, phi = _harmonic_basis(n, int(j))
+        base, phi = _harmonic_basis(n, int(j), level)
         harmonics, which = np.unique(h, return_inverse=True)
         lift = np.zeros((m, harmonics.size))
         lift[base] = phi[:, harmonics]

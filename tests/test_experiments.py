@@ -5,6 +5,7 @@ import inspect
 import json
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -550,6 +551,30 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
     assert run_cli(p) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ghost.txt" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("potts-gap", {"component_gap_sample": 0}, "component_gap_sample"),
+        ("potts-gap", {"component_gap_sample": -3}, "component_gap_sample"),
+        ("balance-concentration", {"redraws": 0}, "redraws"),
+        ("balance-concentration", {"m": [200]}, "m"),
+        ("balance-concentration", {"m": [200, 200]}, "m"),
+        ("balance-concentration", {"m": [0, 200]}, "m"),
+    ],
+)
+def test_degenerate_parameters_exit_2_before_any_work(tmp_path, capsys, name, params, key):
+    # each used to crash mid-run (ZeroDivisionError, IndexError) or fit a
+    # slope to one point and exit 1, the code of a failed predicate
+    p = write_config(tmp_path, [{"name": name, "seeds": [0], "params": params}])
+    with mock.patch("multimix.experiments.eigendecompose") as eig:
+        with pytest.raises(ValueError, match=f"^{name} parameter {key!r} (must be|needs) "):
+            run(p)
+        assert run_cli(p) == 2
+    assert not eig.called
+    assert f"parameter {key!r}" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 

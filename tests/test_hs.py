@@ -31,7 +31,6 @@ from multimix.ising import (
     IsingModel,
     curie_weiss,
     exact_distribution,
-    ising_energy_vector,
     low_rank_ising,
     mean_field_potts,
 )
@@ -167,7 +166,7 @@ def test_tilt_laws_share_pair_energies_bitwise():
     # the first law fills the shared pair energies, the rest reuse them
     for h, comp in list(zip(net.fields, components))[::7]:
         alone = IsingModel(split.j_tilde, split.model.b + h)
-        assert np.array_equal(exact_distribution(comp).probs, _softmax(ising_energy_vector(alone)))
+        assert np.array_equal(exact_distribution(comp).probs, _softmax(ising._energies(alone)))
     shared = components[0]._pairs["pairs"]
     assert all(c._pairs["pairs"] is shared for c in components)
     assert not shared.flags.writeable
@@ -667,18 +666,22 @@ def test_potts_components_match_loop_reference():
     ],
 )
 def test_states_are_enumerated_once_per_split(monkeypatch, model, mesh, enumerator):
-    calls = []
-    original = getattr(hs, enumerator)
+    # the split's energies and projections both read the features that
+    # `ising` enumerates; from cold caches every read gets one enumeration
+    seen = []
+    original = getattr(ising, enumerator)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(hs, enumerator, counted)
+    monkeypatch.setattr(ising, enumerator, recorded)
+    monkeypatch.setattr(ising, "_states_cache", {})
+    monkeypatch.setattr(ising, "_onehot_cache", {})
     split = split_spectrum(model, 2.0)
     net = build_field_net(split, 1.0, model.n, mesh=mesh)
     mixture_density(net, split, model)
-    assert len(calls) == 1
+    assert seen and all(states is seen[0] for states in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +762,7 @@ def test_spectral_split_holds_only_its_inputs():
 def _eigh_split_parts(model, c):
     """The split's parts by the formulas `split_spectrum` first assembled
     them with, kept as the oracle."""
-    J, _ = hs._feature_coupling(model)
+    J, _ = ising._feature_coupling(model)
     vals, vecs = scipy.linalg.eigh(J)
     threshold = 1.0 - 1.0 / c
     keep = vals > threshold

@@ -97,6 +97,15 @@ def test_small_enumerations_are_cached_read_only():
     big = states_matrix(15)
     assert states_matrix(15) is not big
     assert np.array_equal(states_matrix(15), big)
+    # the Potts one-hot features are shared the same way, per (n, q)
+    onehot = ising._features(mean_field_potts(4, 3, 1.2))
+    assert ising._features(mean_field_potts(4, 3, 0.5)) is onehot
+    assert not onehot.flags.writeable
+    assert onehot.shape == (81, 12)
+    assert np.array_equal(onehot.reshape(81, 4, 3).argmax(axis=2), potts_digits(4, 3))
+    assert np.array_equal(onehot.sum(axis=1), np.full(81, 4.0))
+    big = ising._features(mean_field_potts(9, 3, 1.2))
+    assert ising._features(mean_field_potts(9, 3, 1.2)) is not big
 
 
 @pytest.mark.parametrize(
@@ -223,6 +232,41 @@ def test_low_rank_ising_spectrum():
     # same seed, same model
     again = low_rank_ising(8, 2, [1.4, 1.2], 0.2, seed=8)
     assert np.array_equal(again.J, model2.J)
+
+
+def potts_count_energies(model: PottsModel) -> np.ndarray:
+    """The Potts energy by agreement counts, (beta/n) sum_c C(count_c, 2),
+    kept as the oracle of the feature form (1/2) f'Jf that `_energies`
+    computes over one-hot colorings."""
+    D = potts_digits(model.n, model.q)
+    counts = (D[:, :, None] == np.arange(model.q)).sum(axis=1)
+    pairs = 0.5 * (counts * (counts - 1)).sum(axis=1)
+    return (model.beta / model.n) * pairs
+
+
+@pytest.mark.parametrize("beta", [0.0, 1 / 3, 0.7, 1.2, 2.3, 5.1])
+def test_potts_energies_match_the_count_form(beta):
+    # bit for bit up to 4 sites at every q within the exact cap, and within
+    # 1e-15 max|E| on larger sites up to 3^8 states
+    for q in range(2, 12):
+        for n in range(1, 13):
+            if q**n > (ising.MAX_EXACT_STATES if n <= 4 else 3**8):
+                break
+            model = mean_field_potts(n, q, beta)
+            got, want = ising._energies(model), potts_count_energies(model)
+            if n <= 4:
+                assert np.array_equal(got, want), (n, q)
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (n, q)
+
+
+def test_ising_q_is_two():
+    model = curie_weiss(3, 1.0)
+    assert model.q == 2 and model.q**model.n == exact_distribution(model).m
+    with pytest.raises(AttributeError):
+        model.q = 3
+    with pytest.raises(TypeError, match="expected IsingModel or PottsModel"):
+        exact_distribution(object())
 
 
 def test_mean_field_potts_distribution():

@@ -31,7 +31,7 @@ from multimix.ising import (
     mean_field_potts,
     sample_exact,
 )
-from multimix import spectral
+from multimix import ising, spectral
 from multimix.hs import split_spectrum
 from multimix.rng import make_rng
 from multimix.spectral import (
@@ -504,8 +504,10 @@ def test_exchangeable_levels_reads_every_diagonal_entry(scale, exchangeable):
     assert A.indices[A.indptr[5] + 2] == 5
     levels = spectral._exchangeable_levels(A)
     if exchangeable:
-        for got, want in zip(levels, spectral._exchangeable_levels(gen.A)):
-            assert np.array_equal(got, want)
+        want = spectral._exchangeable_levels(gen.A)
+        for got, expected in zip(levels[:2], want[:2]):
+            assert np.array_equal(got, expected)
+        assert levels[2] is want[2] is spectral._cube(7)
     else:
         assert levels is None
 
@@ -568,6 +570,39 @@ def test_sector_structure_reuse_is_bitwise(cold_caches, k):
     w_warm, v_warm = spectral._sector_eigh(*levels, k)
     assert np.array_equal(w_cold, w_warm)
     assert np.array_equal(v_cold, v_warm)
+
+
+def test_sector_route_builds_one_cube_and_one_pattern_per_call(monkeypatch):
+    # with nothing kept past 64 states, every lookup of an n=7 structure is
+    # a build; one spectrum builds the cube and the generator pattern once
+    # each and equals the spectrum from the kept structures bitwise
+    gen = build_glauber_generator(exact_distribution(curie_weiss(7, 1.5)))
+    cached = [eigendecompose(gen, k) for k in (3, gen.m)]
+    monkeypatch.setattr(ising, "MAX_EXACT_STATES", 64)
+    for k, want in zip((3, gen.m), cached):
+        with (
+            mock.patch.object(spectral, "_cube", wraps=spectral._cube) as cube,
+            mock.patch.object(
+                spectral, "_heat_bath_pattern", wraps=spectral._heat_bath_pattern
+            ) as pattern,
+        ):
+            got = eigendecompose(gen, k)
+        assert cube.call_count == 1 and pattern.call_count == 1
+        assert got == want
+    # each of those lookups built its structure afresh
+    assert spectral._cube(7) is not spectral._cube(7)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cube_slots_match_the_generator_pattern(n):
+    # the closed-form slots against the pattern's sorted columns: an edge
+    # between levels p and p + 1 reads a_p, the diagonal d_p
+    level, _, slot = spectral._cube(n)
+    m = 1 << n
+    cols = spectral._heat_bath_pattern(n, 2)[2].reshape(m, n + 1)
+    want = np.minimum(level[:, None], level[cols])
+    want[cols == np.arange(m)[:, None]] = n + level
+    assert slot.dtype == want.dtype and np.array_equal(slot, want)
 
 
 def test_shared_structure_is_read_only_and_capped(cold_caches):
