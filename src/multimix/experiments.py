@@ -291,6 +291,9 @@ def _exp_balance_concentration(
 
 
 def _exp_cw_gap_scaling(seeds, runner, *, n=(5, 7, 9, 11), beta=1.5, ratio_cap=0.7):
+    if len(set(n)) < 2:
+        raise ValueError("cw-gap-scaling parameter 'n' needs 2 distinct sizes")
+
     def point(size):
         spec = eigendecompose(
             build_glauber_generator(exact_distribution(curie_weiss(size, beta))), 3
@@ -349,6 +352,8 @@ def _exp_langevin_metastability(
 def _exp_score_robustness(
     seeds, runner, *, eps_sc=(0.0, 0.2, 0.5, 1.0), step=5e-3, horizon=5.0, chains=10_000
 ):
+    if len(set(eps_sc)) < 3:
+        raise ValueError("score-robustness parameter 'eps_sc' needs 3 distinct values")
     model = _bimodal_fixture()
 
     def one(seed, eps):

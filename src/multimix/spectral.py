@@ -553,10 +553,12 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     sector route each basis vector carries one harmonic). Either way the residuals
     ||A v - lambda v|| (equal to the pi-norm of the eigenfunction residual)
     are checked against 1e-7 with the sparse A, and Spectrum checks
-    pi-orthonormality.
+    pi-orthonormality. A zero bottom eigenvalue gets the exact kernel
+    sqrt(pi): the constant eigenfunction, and the other eigenvectors projected
+    off sqrt(pi), which the solver's kernel vector misses by ~eps ||A||/lambda_2.
 
     Working memory: each route returns a column-major m x k eigenvector
-    array of its own, which is checked, scaled and sign-fixed in place,
+    array of its own, which is checked, scaled, centred and sign-fixed in place,
     column block by column block, and handed to the Spectrum without a copy.
     The peak is about three m x k buffers, held while Spectrum checks
     orthonormality; the dense route's LAPACK call holds as much.
@@ -574,6 +576,7 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
         w, F = _split_eigh(gen.A, k)
     else:
         w, F = _eigh(gen.A.toarray(order="F"), k)
+    kernel = abs(w[0]) <= 1e-8
     sq = np.sqrt(gen.pi.probs)[:, None]
     for start in range(0, k, _COLUMN_BLOCK):
         cols = slice(start, start + _COLUMN_BLOCK)
@@ -582,14 +585,19 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
         worst = float(np.sqrt((resid**2).sum(axis=0)).max())
         if not worst <= 1e-7:
             raise ValueError(f"eigenpair residual {worst!r} exceeds 1e-7")
-        # the eigenfunctions D^{-1/2} v, with deterministic signs: the
-        # largest-magnitude entry of each column positive
-        v /= sq
+        v /= sq  # the eigenfunctions D^{-1/2} v
+        if kernel:
+            # the other columns are orthogonal to the solver's kernel vector, not
+            # to sqrt(pi): remove their pi-means c, leaving pi-norms sqrt(1 - c^2)
+            u = F[:, max(start, 1) : start + _COLUMN_BLOCK]
+            c = np.vecdot(gen.pi.probs, u, axis=0)
+            u -= c
+            u /= np.sqrt(1.0 - c * c)
+        # deterministic signs: the largest-magnitude entry of each column positive
         lead = np.abs(v).argmax(axis=0)
         v *= np.where(v[lead, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)[None, :]
-    if abs(w[0]) <= 1e-8:
-        # the kernel of A is exactly sqrt(pi), so the bottom eigenfunction is
-        # the constant; writing it down beats dividing noise by tiny sqrt(pi)
+    if kernel:
+        # writing the constant down beats dividing noise by tiny sqrt(pi)
         w[0] = 0.0
         F[:, 0] = 1.0
     return Spectrum._adopt(w, F, gen.pi)
@@ -664,35 +672,20 @@ def chi2_trajectory(spectrum: Spectrum, mu0, times) -> np.ndarray:
 def evolve_distribution(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float) -> FiniteDistribution:
     """Push an initial law through the semigroup: mu_t = mu0 e^{tL}.
 
-    Computed as D^{1/2} exp(-tA) D^{-1/2} mu0, independent of any
-    eigendecomposition, by one of two routes. When t ||A||_1 <= m / 4 the
-    semigroup action is taken directly on the CSR generator (Al-Mohy and
-    Higham's truncated Taylor action, ``expm_multiply``); on longer horizons
-    the matrix exponential (scaling and squaring) of a dense copy of A is
-    applied to the vector, except beyond MAX_EXACT_STATES states. Round-off
-    can leave entries a hair below zero; anything past -1e-10 is treated as
-    an error, the rest is clipped and renormalized.
+    Computed as D^{1/2} exp(-tA) D^{-1/2} mu0 by the truncated Taylor action
+    of Al-Mohy and Higham (``expm_multiply``) on the CSR generator at every
+    horizon, with no eigendecomposition and no dense copy of A; the cost grows
+    linearly in t ||A||_1. The output does not depend on numpy's global random
+    state, which scipy's norm estimates read on long horizons. Round-off can
+    leave entries a hair below zero; anything past -1e-10 is treated as an
+    error, the rest is clipped and renormalized.
     """
     if mu0.m != gen.m:
         raise ValueError(f"state-space mismatch: {mu0.m} vs {gen.m}")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     sq = np.sqrt(gen.pi.probs)
-    v = mu0.probs / sq
-    # The action's cost grows linearly in t ||A||_1, scaling and squaring's
-    # only as log t. Which was faster on Curie-Weiss beta=1.5 chains (one
-    # BLAS thread, 2-vCPU x86 host; t in 1, 5, 10, 25, 50, 100):
-    #   m=64   (||A||_1 6.6)   dense at every t
-    #   m=128  (7.5)           action at t=1, dense from t=5
-    #   m=256  (8.7)           action up to t=10, dense from t=25
-    #   m=512  (9.5)           action through t=100 (5 vs 90 ms at t=1)
-    #   m=1024 (10.7)          action through t=100 (12 vs 550 ms at t=1)
-    # The rule below switches at t = 2.4, 4.3, 7.4, 13, 24: on the faster
-    # side or conservative from m=256 up; below that either costs < 5 ms.
-    if gen.m > MAX_EXACT_STATES or t * scipy.sparse.linalg.norm(gen.A, 1) <= gen.m / 4:
-        out = sq * scipy.sparse.linalg.expm_multiply(-t * gen.A, v)
-    else:
-        out = sq * (scipy.linalg.expm(-t * gen.A.toarray()) @ v)
+    out = sq * scipy.sparse.linalg.expm_multiply(-t * gen.A, mu0.probs / sq)
     if out.min() < -1e-10:
         raise ValueError(f"evolution produced probability {out.min()!r}")
     out = np.clip(out, 0.0, None)

@@ -156,7 +156,9 @@ def test_run_raises_instead_of_choosing_an_exit_code(tmp_path, monkeypatch):
     # `run` returns only 0 or 1; every other outcome is an exception, raised
     # before any file is written
     big = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [17]}}], name="big.json"
+        tmp_path,
+        [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [16, 17]}}],
+        name="big.json",
     )
     with pytest.raises(CapacityError):
         run(big)
@@ -334,7 +336,7 @@ def test_empty_experiment_list_exits_0_with_header_only_csv(tmp_path):
 
 def test_capacity_exits_3_and_writes_nothing(tmp_path, capsys):
     p = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [17]}}]
+        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [16, 17]}}]
     )
     assert run_cli(p) == 3
     assert not (tmp_path / "r.csv").exists()
@@ -428,7 +430,7 @@ def test_output_independent_of_thread_count(tmp_path):
 
 def test_timings_flag_records_runtimes(tmp_path):
     p = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5]}}]
+        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [5, 7]}}]
     )
     assert run(p) == 0
     assert all(r[5] == 0.0 for r in read_rows(tmp_path / "r.csv"))
@@ -563,17 +565,26 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
         ("balance-concentration", {"m": [200]}, "m"),
         ("balance-concentration", {"m": [200, 200]}, "m"),
         ("balance-concentration", {"m": [0, 200]}, "m"),
+        ("cw-gap-scaling", {"n": [5]}, "n"),
+        ("cw-gap-scaling", {"n": [5, 5]}, "n"),
+        ("score-robustness", {"eps_sc": [0.5]}, "eps_sc"),
+        ("score-robustness", {"eps_sc": [0.0, 0.5]}, "eps_sc"),
+        ("score-robustness", {"eps_sc": [0.0, 0.5, 0.5]}, "eps_sc"),
     ],
 )
 def test_degenerate_parameters_exit_2_before_any_work(tmp_path, capsys, name, params, key):
-    # each used to crash mid-run (ZeroDivisionError, IndexError) or fit a
-    # slope to one point and exit 1, the code of a failed predicate
+    # each used to crash mid-run (ZeroDivisionError, IndexError), fit a
+    # slope to one point and exit 1, the code of a failed predicate, or pass
+    # a verdict that compared nothing
     p = write_config(tmp_path, [{"name": name, "seeds": [0], "params": params}])
-    with mock.patch("multimix.experiments.eigendecompose") as eig:
+    with (
+        mock.patch("multimix.experiments.eigendecompose") as eig,
+        mock.patch("multimix.experiments.lmc_run") as lmc,
+    ):
         with pytest.raises(ValueError, match=f"^{name} parameter {key!r} (must be|needs) "):
             run(p)
         assert run_cli(p) == 2
-    assert not eig.called
+    assert not eig.called and not lmc.called
     assert f"parameter {key!r}" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 

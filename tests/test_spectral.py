@@ -447,6 +447,10 @@ def reference_eigendecompose(gen: GeneratorMatrix, route: str, k: int):
     else:
         w, v = spectral._eigh(gen.A.toarray(order="F"), k)
     F = v / np.sqrt(gen.pi.probs)[:, None]
+    if abs(w[0]) <= 1e-8:
+        # the eigenfunctions after the constant, centred and renormalised
+        c = np.array([gen.pi.probs @ f for f in F[:, 1:].T])
+        F[:, 1:] = (F[:, 1:] - c) / np.sqrt(1.0 - c * c)
     lead = np.abs(F).argmax(axis=0)
     F *= np.where(F[lead, np.arange(k)] < 0.0, -1.0, 1.0)[None, :]
     w = w.copy()
@@ -492,6 +496,30 @@ def test_eigenpair_residual_check_covers_every_column_block():
     with mock.patch.object(spectral, "_sector_eigh", broken):
         with pytest.raises(ValueError, match="residual"):
             eigendecompose(gen)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.025, 0.0125])
+def test_metastable_generator_decomposes(h):
+    # the square-root approximation of Langevin on the +-5 bimodal density,
+    # cell centres on [-12, 12]: constant off-diagonal -1/h^2 and
+    # lambda_2 ~ 9e-6 against ||A||_1 up to 2.6e4, so the solver's kernel
+    # vector is off sqrt(pi) by far more than the 1e-8 Gram tolerance
+    x = np.arange(-12.0 + h / 2, 12.0, h)
+    w = np.exp(np.logaddexp(-0.5 * (x - 5.0) ** 2, -0.5 * (x + 5.0) ** 2))
+    pi = FiniteDistribution(w / w.sum())
+    sq = np.sqrt(pi.probs)
+    diag = np.zeros(x.size)
+    diag[:-1] += sq[1:] / sq[:-1]
+    diag[1:] += sq[:-1] / sq[1:]
+    off = np.full(x.size - 1, -1.0)
+    A = scipy.sparse.diags_array([off, diag, off], offsets=[-1, 0, 1], format="csr") / h**2
+    gen = GeneratorMatrix(A=A, pi=pi)
+    for k in (2, 3, 6):
+        spec = eigendecompose(gen, k)
+        F = spec.eigenfunctions
+        gram = F.T @ (pi.probs[:, None] * F)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+        assert 8e-6 <= spec.eigenvalues[1] <= 1e-5
 
 
 @pytest.mark.parametrize("scale, exchangeable", [(0.1, True), (10.0, False)])
@@ -842,8 +870,8 @@ def test_evolve_distribution_limits():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    # counts the calls evolve_distribution makes into each dense or sparse
-    # kernel it could route through, and into the eigensolvers it must avoid
+    # counts the calls evolve_distribution makes into the semigroup action,
+    # and into the dense exponential and eigensolvers it must avoid
     calls = {}
 
     def count(module, name):
@@ -863,7 +891,7 @@ def solver_calls(monkeypatch):
     return calls
 
 
-def _route_cases():
+def _evolve_cases():
     # label -> (generator, mu0): a delta start on the spin chain and a
     # random full-support law on the Potts chain
     rng = make_rng(23)
@@ -877,38 +905,57 @@ def _route_cases():
 
 
 @pytest.mark.parametrize(
-    "case, t, route",
+    "case, t",
     [
-        ("spin", 0.5, "expm_multiply"),
-        ("spin", 1.0, "expm_multiply"),
-        ("spin", 25.0, "expm"),
-        ("spin", 1000.0, "expm"),
-        ("potts", 1.0, "expm_multiply"),
-        ("potts", 25.0, "expm"),
+        ("spin", 0.5),
+        ("spin", 1.0),
+        ("spin", 25.0),
+        ("spin", 1000.0),
+        ("potts", 1.0),
+        ("potts", 25.0),
     ],
 )
-def test_evolve_distribution_matches_dense_oracle(solver_calls, case, t, route):
-    gen, mu0 = _route_cases()[case]
+def test_evolve_distribution_matches_dense_oracle(solver_calls, case, t):
+    gen, mu0 = _evolve_cases()[case]
     expected = evolve_via_expm(gen, mu0, t)
     for name in solver_calls:
         solver_calls[name] = 0
     got = evolve_distribution(gen, mu0, t).probs
     assert np.abs(got - expected).max() <= 1e-12
-    other = "expm" if route == "expm_multiply" else "expm_multiply"
-    assert solver_calls[route] == 1 and solver_calls[other] == 0
+    assert solver_calls["expm_multiply"] == 1 and solver_calls["expm"] == 0
     assert solver_calls["eigh"] == solver_calls["eigsh"] == 0
 
 
 def test_evolve_distribution_route_pin(solver_calls):
-    # short horizons take the semigroup action, long ones the dense
-    # exponential, whose cost grows only as log t (the action at t = 1e4
-    # is ~50x slower at n = 9)
-    gen = build_glauber_generator(exact_distribution(curie_weiss(9, 1.5)))
-    mu0 = FiniteDistribution.delta(0, gen.m)
-    evolve_distribution(gen, mu0, 1.0)
+    # a long horizon on a large chain, Curie-Weiss n = 12 at t = 100
+    # (t ||A||_1 ~ 1270): the semigroup action on the CSR generator, with no
+    # dense exponential and no dense copy of A
+    gen = build_glauber_generator(exact_distribution(curie_weiss(12, 1.5)))
+    mu0 = empirical_distribution(sample_exact(curie_weiss(12, 1.5), 200, seed=3), 12)
+    with mock.patch.object(scipy.sparse.csr_array, "toarray") as toarray:
+        evolve_distribution(gen, mu0, 100.0)
+    assert not toarray.called
     assert solver_calls["expm"] == 0 and solver_calls["expm_multiply"] == 1
-    evolve_distribution(gen, mu0, 1e4)
-    assert solver_calls["expm"] == 1 and solver_calls["expm_multiply"] == 1
+
+
+def test_evolution_ignores_the_global_random_state():
+    # scipy's norm estimates on long horizons draw from numpy's global
+    # state; the c10 truth's chain at T = 25 (t ||A||_1 ~ 220) reaches them
+    truth = low_rank_ising(8, 1, [1.5], 0.2, seed=4)
+    gen = build_glauber_generator(exact_distribution(truth))
+    mu0 = empirical_distribution(sample_exact(truth, 2000, seed=1), 8)
+    state = np.random.get_state()
+    try:
+        runs = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            position = np.random.get_state()[2]
+            runs.append(evolve_distribution(gen, mu0, 25.0).probs)
+            # the evolution did draw from the global state
+            assert np.random.get_state()[2] != position
+    finally:
+        np.random.set_state(state)
+    assert np.array_equal(*runs)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
