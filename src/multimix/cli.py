@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--truth", required=True)
     ce.add_argument("--fitted", required=True)
     ce.add_argument("--samples", required=True)
-    ce.add_argument("--horizon", type=float, default=10.0)
+    ce.add_argument("--horizon", type=float, default=10.0, help="time T; cost grows linearly in T")
     ce.set_defaults(func=_cmd_certify)
 
     ex = subs.add_parser("experiment", help="catalog experiment runner")

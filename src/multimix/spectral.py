@@ -118,9 +118,9 @@ class Spectrum(_Record):
     Eigenvalues ascend, the first is zero (to 1e-8) with eigenfunction
     identically one, and the eigenfunction matrix F (one column per
     eigenfunction) satisfies F' diag(pi) F = I within 1e-8; a NaN anywhere
-    fails these checks. Columns are sign-fixed: the entry of largest
-    magnitude is positive. Two spectra are equal when their laws, eigenvalues
-    and eigenfunctions agree exactly.
+    fails these checks. Columns are sign-fixed: the entry of largest magnitude,
+    read before ``eigendecompose`` centres the column, is positive. Two spectra
+    are equal when their laws, eigenvalues and eigenfunctions agree exactly.
 
     The constructor stores read-only copies of the arrays it is given.
     ``eigendecompose`` instead hands over the buffers it built and no one
@@ -558,7 +558,7 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     off sqrt(pi), which the solver's kernel vector misses by ~eps ||A||/lambda_2.
 
     Working memory: each route returns a column-major m x k eigenvector
-    array of its own, which is checked, scaled, centred and sign-fixed in place,
+    array of its own, which is checked, scaled, sign-fixed and centred in place,
     column block by column block, and handed to the Spectrum without a copy.
     The peak is about three m x k buffers, held while Spectrum checks
     orthonormality; the dense route's LAPACK call holds as much.
@@ -586,16 +586,15 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
         if not worst <= 1e-7:
             raise ValueError(f"eigenpair residual {worst!r} exceeds 1e-7")
         v /= sq  # the eigenfunctions D^{-1/2} v
-        if kernel:
-            # the other columns are orthogonal to the solver's kernel vector, not
-            # to sqrt(pi): remove their pi-means c, leaving pi-norms sqrt(1 - c^2)
-            u = F[:, max(start, 1) : start + _COLUMN_BLOCK]
-            c = np.vecdot(gen.pi.probs, u, axis=0)
-            u -= c
-            u /= np.sqrt(1.0 - c * c)
-        # deterministic signs: the largest-magnitude entry of each column positive
+        # deterministic signs, fixed before the centring so exact ties keep the lower index
         lead = np.abs(v).argmax(axis=0)
         v *= np.where(v[lead, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)[None, :]
+        if kernel:
+            # project off sqrt(pi): remove the pi-means c, leaving pi-norms sqrt(1 - c^2)
+            u = F[:, max(start, 1) : start + _COLUMN_BLOCK]
+            c = np.array([gen.pi.probs @ f for f in u.T])
+            u -= c
+            u /= np.sqrt(1.0 - c * c)
     if kernel:
         # writing the constant down beats dividing noise by tiny sqrt(pi)
         w[0] = 0.0
@@ -675,10 +674,11 @@ def evolve_distribution(gen: GeneratorMatrix, mu0: FiniteDistribution, t: float)
     Computed as D^{1/2} exp(-tA) D^{-1/2} mu0 by the truncated Taylor action
     of Al-Mohy and Higham (``expm_multiply``) on the CSR generator at every
     horizon, with no eigendecomposition and no dense copy of A; the cost grows
-    linearly in t ||A||_1. The output does not depend on numpy's global random
-    state, which scipy's norm estimates read on long horizons. Round-off can
-    leave entries a hair below zero; anything past -1e-10 is treated as an
-    error, the rest is clipped and renormalized.
+    linearly in t ||A||_1. Long horizons draw from and advance numpy's global
+    random state (scipy's ``onenormest``); the output was observed to be the
+    same under different seeds, which nothing guarantees. Round-off can leave
+    entries a hair below zero; anything past -1e-10 is treated as an error,
+    the rest is clipped and renormalized.
     """
     if mu0.m != gen.m:
         raise ValueError(f"state-space mismatch: {mu0.m} vs {gen.m}")

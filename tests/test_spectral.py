@@ -447,12 +447,12 @@ def reference_eigendecompose(gen: GeneratorMatrix, route: str, k: int):
     else:
         w, v = spectral._eigh(gen.A.toarray(order="F"), k)
     F = v / np.sqrt(gen.pi.probs)[:, None]
+    lead = np.abs(F).argmax(axis=0)
+    F *= np.where(F[lead, np.arange(k)] < 0.0, -1.0, 1.0)[None, :]
     if abs(w[0]) <= 1e-8:
         # the eigenfunctions after the constant, centred and renormalised
         c = np.array([gen.pi.probs @ f for f in F[:, 1:].T])
         F[:, 1:] = (F[:, 1:] - c) / np.sqrt(1.0 - c * c)
-    lead = np.abs(F).argmax(axis=0)
-    F *= np.where(F[lead, np.arange(k)] < 0.0, -1.0, 1.0)[None, :]
     w = w.copy()
     if abs(w[0]) <= 1e-8:
         w[0] = 0.0
