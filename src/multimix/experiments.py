@@ -258,6 +258,8 @@ def _exp_balance_concentration(
     seeds, runner, *, n=8, k=4, m=(50, 200, 800, 3200), redraws=200,
     slope_window=(-0.65, -0.35), model=None,
 ):
+    if k < 2:
+        raise ValueError("balance-concentration parameter 'k' must be >= 2")
     if redraws < 1:
         raise ValueError("balance-concentration parameter 'redraws' must be >= 1")
     if min(m) < 1 or len(set(m)) < 2:
@@ -352,8 +354,8 @@ def _exp_langevin_metastability(
 def _exp_score_robustness(
     seeds, runner, *, eps_sc=(0.0, 0.2, 0.5, 1.0), step=5e-3, horizon=5.0, chains=10_000
 ):
-    if len(set(eps_sc)) < 3:
-        raise ValueError("score-robustness parameter 'eps_sc' needs 3 distinct values")
+    if len(eps_sc) < 3 or eps_sc[0] < 0.0 or any(a >= b for a, b in zip(eps_sc, eps_sc[1:])):
+        raise ValueError("score-robustness parameter 'eps_sc' needs 3+ increasing values >= 0")
     model = _bimodal_fixture()
 
     def one(seed, eps):

@@ -18,8 +18,8 @@ from scipy.special import rel_entr
 from .errors import CapacityError, ParseError
 
 MAX_STATES = 1 << 20
-# the largest state space that is solved densely, decomposed exactly, or has
-# its law-independent structure kept and shared between callers
+# eigendecompose makes no array of more than MAX_EXACT_STATES^2 entries, and
+# law-independent structure on at most this many states is kept and shared
 MAX_EXACT_STATES = 1 << 14
 _SUM_TOL = 1e-12
 

@@ -252,7 +252,8 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
     q = 2 that is the package spin convention (bit i is spin i). The CSR
     matrix is filled row by row from the per-site neighbour maps, each row
     holding its diagonal and its n (q - 1) neighbours; that sparsity
-    structure depends on (n, q) only and is built once per pair.
+    structure depends on (n, q) only and is built once per pair. There is no
+    state cap here beyond FiniteDistribution's enumeration cap.
 
     Parameters
     ----------
@@ -267,9 +268,6 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
     ------
     ValueError
         If q < 2, the state count is not a power of q, or pi has zero entries.
-    CapacityError
-        Beyond 2^14 states (the dense-matrix limit of the eigensolver and of
-        the dense exponential).
     """
     if q < 2:
         raise ValueError(f"need at least 2 values per site, got q={q}")
@@ -281,8 +279,6 @@ def build_glauber_generator(pi: FiniteDistribution, q: int = 2) -> GeneratorMatr
         raise ValueError(f"state count {m} is not a power of {'two' if q == 2 else q}")
     if n < 1:
         raise ValueError("need at least one site")
-    if m > MAX_EXACT_STATES:
-        raise CapacityError(f"{m} states exceed the dense cap of {MAX_EXACT_STATES}")
     if pi.probs.min() <= 0.0:
         raise ValueError("stationary law must have full support (zero entries found)")
     nbs, gather, indices, indptr = _heat_bath_pattern(n, q)
@@ -545,8 +541,11 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
        quarter of the unsplit cost.
     3. Otherwise (a per-site field, an odd state count such as a q = 3 Potts
        chain, or a symmetry that holds only up to rounding) LAPACK solves a
-       dense copy of A whole. Beyond MAX_EXACT_STATES states routes 2 and 3
-       raise CapacityError instead of copying A.
+       dense copy of A whole.
+
+    The largest array a route makes (the m x k eigenvectors on route 1, the
+    m x m copy of A on routes 2 and 3) may hold at most MAX_EXACT_STATES^2
+    entries; beyond that CapacityError is raised before any copy or solve.
 
     The routes agree on eigenvalues and on every eigenspace; inside a
     degenerate eigenspace each returns its own orthonormal basis (on the
@@ -568,10 +567,11 @@ def eigendecompose(gen: GeneratorMatrix, k_max: int | None = None) -> Spectrum:
     if not 1 <= k <= m:
         raise ValueError(f"k_max must lie in 1..{m}, got {k_max}")
     levels = _exchangeable_levels(gen.A)
+    cols = m if levels is None else k
+    if m * cols > MAX_EXACT_STATES**2:
+        raise CapacityError(f"{m} x {cols} entries exceed the dense cap of {MAX_EXACT_STATES}^2")
     if levels is not None:
         w, F = _sector_eigh(*levels, k)
-    elif m > MAX_EXACT_STATES:
-        raise CapacityError(f"{m} states exceed the dense cap of {MAX_EXACT_STATES}")
     elif m % 2 == 0 and _reversal_symmetric(gen.A):
         w, F = _split_eigh(gen.A, k)
     else:

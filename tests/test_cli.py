@@ -5,15 +5,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from multimix import spectral
 from multimix.cli import main
 from multimix.hs import load_field_net
 from multimix.ising import (
     curie_weiss,
     dump_ising_model,
+    dump_samples,
     empirical_distribution,
     load_ising_model,
     load_samples,
@@ -111,10 +115,21 @@ def test_spectrum_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_spectrum_capacity_exits_3(tmp_path, capsys):
+    # 2^16 states: the bottom eigenvalues come by sector, while the full
+    # spectrum would need a 2^16 x 2^16 array and is refused before any solve
     big = tmp_path / "big.txt"
     big.write_text(dump_ising_model(curie_weiss(16, 1.0)))
-    assert main(["spectrum", "--model", str(big)]) == 3
-    assert "exceed" in capsys.readouterr().err
+    with (
+        mock.patch.object(spectral, "_sector_eigh") as sector,
+        mock.patch.object(scipy.sparse.csr_array, "toarray") as toarray,
+    ):
+        assert main(["spectrum", "--model", str(big)]) == 3
+    assert not sector.called and not toarray.called
+    assert "65536 x 65536 entries exceed" in capsys.readouterr().err
+    out = tmp_path / "bottom.txt"
+    assert main(["spectrum", "--model", str(big), "--k", "3", "--out", str(out)]) == 0
+    lam = [float(v) for v in out.read_text().split()]
+    assert len(lam) == 3 and lam[0] == 0.0 and 0.0 < lam[1] < lam[2]
 
 
 def test_garbage_model_file_exits_2(tmp_path):
@@ -304,19 +319,17 @@ def test_certify_json_matches_library(tmp_path, capsys):
 
 
 def test_certify_capacity_exits_3(tmp_path, capsys):
+    # certification has no spin cap of its own; 2^21 states exceed enumeration
     tpath = tmp_path / "big.txt"
-    tpath.write_text(dump_ising_model(curie_weiss(11, 1.0)))
+    tpath.write_text(dump_ising_model(curie_weiss(21, 1.0)))
     spath = tmp_path / "X.txt"
-    assert main(
-        ["sample", "--model", str(tpath), "--count", "50", "--seed", "0",
-         "--out", str(spath)]
-    ) == 0
+    spath.write_text(dump_samples(np.where(np.arange(50 * 21).reshape(50, 21) % 3, 1, -1)))
     rc = main(
         ["ple", "certify", "--truth", str(tpath), "--fitted", str(tpath),
          "--samples", str(spath)]
     )
     assert rc == 3
-    assert "exact certification" in capsys.readouterr().err
+    assert "2097152 states exceed" in capsys.readouterr().err
 
 
 # --- decompose ----------------------------------------------------------------

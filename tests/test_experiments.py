@@ -157,7 +157,7 @@ def test_run_raises_instead_of_choosing_an_exit_code(tmp_path, monkeypatch):
     # before any file is written
     big = write_config(
         tmp_path,
-        [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [16, 17]}}],
+        [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [21, 22]}}],
         name="big.json",
     )
     with pytest.raises(CapacityError):
@@ -336,7 +336,7 @@ def test_empty_experiment_list_exits_0_with_header_only_csv(tmp_path):
 
 def test_capacity_exits_3_and_writes_nothing(tmp_path, capsys):
     p = write_config(
-        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [16, 17]}}]
+        tmp_path, [{"name": "cw-gap-scaling", "seeds": [0], "params": {"n": [21, 22]}}]
     )
     assert run_cli(p) == 3
     assert not (tmp_path / "r.csv").exists()
@@ -570,6 +570,10 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
         ("score-robustness", {"eps_sc": [0.5]}, "eps_sc"),
         ("score-robustness", {"eps_sc": [0.0, 0.5]}, "eps_sc"),
         ("score-robustness", {"eps_sc": [0.0, 0.5, 0.5]}, "eps_sc"),
+        ("score-robustness", {"eps_sc": [0.5, 0.2, 0.0]}, "eps_sc"),
+        ("score-robustness", {"eps_sc": [0.0, 0.2, 0.2, 0.5]}, "eps_sc"),
+        ("score-robustness", {"eps_sc": [-0.2, 0.0, 0.5]}, "eps_sc"),
+        ("balance-concentration", {"k": 1}, "k"),
     ],
 )
 def test_degenerate_parameters_exit_2_before_any_work(tmp_path, capsys, name, params, key):

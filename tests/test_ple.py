@@ -45,6 +45,7 @@ from multimix.spectral import (
     evolve_distribution,
 )
 from scipy.special import expit, log_expit, rel_entr
+from test_spectral import evolve_via_expm
 
 
 def zero_model(n: int) -> IsingModel:
@@ -606,8 +607,16 @@ def test_certification_at_stationarity_is_zero():
 
 
 def test_certification_capacity():
-    with pytest.raises(CapacityError, match="up to 10 spins, got 11"):
-        certify_terminal_tv(zero_model(11), zero_model(11), None, 1.0)
+    # the semigroup action makes no dense copy: at n = 11 it agrees with the
+    # dense exponential, and at n = 16 it certifies a chain started at pi
+    truth = random_model(11, 11)
+    fitted = perturbed(truth, 12, 0.3)
+    mu0 = empirical_distribution(sample_exact(truth, 500, seed=13), 11)
+    want = evolve_via_expm(build_glauber_generator(exact_distribution(fitted)), mu0, 0.5)
+    want = 0.5 * np.abs(want - exact_distribution(truth).probs).sum()
+    assert abs(certify_terminal_tv(fitted, truth, mu0, 0.5) - want) <= 1e-12
+    model = random_model(16, 16)
+    assert certify_terminal_tv(model, model, exact_distribution(model), 2.0) <= 1e-10
 
 
 def test_learn_and_sample_rank_one_fixture():

@@ -148,8 +148,9 @@ def test_build_rejects_bad_supports():
     probs[:4] = 0.25
     with pytest.raises(ValueError, match="support"):
         build_glauber_generator(FiniteDistribution(probs))
-    with pytest.raises(CapacityError):
-        build_glauber_generator(FiniteDistribution.uniform(1 << 15))
+    # no cap of its own: 2^15 states build in CSR and pass validation
+    big = build_glauber_generator(exact_distribution(curie_weiss(15, 1.5)))
+    assert big.m == 1 << 15 and GeneratorMatrix(A=big.A, pi=big.pi) == big
     with pytest.raises(ValueError, match="power of 3"):
         build_glauber_generator(FiniteDistribution.uniform(16), 3)
     for q in (1, 0):
@@ -542,8 +543,10 @@ def test_exchangeable_levels_reads_every_diagonal_entry(scale, exchangeable):
 
 def test_dense_routes_refuse_beyond_the_dense_cap(monkeypatch):
     # 128-state generators built under the real cap, which is then lowered
-    # to 64: the routes that copy A densely raise before copying, while the
-    # sector route and the semigroup action copy nothing and still run
+    # to 64: no route may make an array of more than 64^2 entries, so the
+    # routes that copy A densely and a full sector spectrum (128 x 128)
+    # raise before copying or solving, while the sector route up to
+    # k = 32 and the semigroup action still run
     fielded, low_rank, cw = (
         build_glauber_generator(exact_distribution(model))
         for model in (
@@ -554,17 +557,27 @@ def test_dense_routes_refuse_beyond_the_dense_cap(monkeypatch):
     )
     assert spectral._reversal_symmetric(low_rank.A)
     mu0 = empirical_distribution(sample_exact(curie_weiss(7, 1.5), 50, seed=3), 7)
-    want_spec, want_mu = eigendecompose(cw), evolve_distribution(cw, mu0, 100.0)
+    want_spec = {k: eigendecompose(cw, k) for k in (1, 3, 32)}
+    want_mu = evolve_distribution(cw, mu0, 100.0)
     monkeypatch.setattr(spectral, "MAX_EXACT_STATES", 64)
-    with mock.patch.object(scipy.sparse.csr_array, "toarray") as toarray:
-        with pytest.raises(CapacityError, match="128 states exceed the dense cap of 64"):
+    with (
+        mock.patch.object(scipy.sparse.csr_array, "toarray") as toarray,
+        mock.patch.object(spectral, "_sector_eigh", wraps=spectral._sector_eigh) as sector,
+    ):
+        with pytest.raises(CapacityError, match=r"128 x 128 entries exceed the dense cap of 64\^2"):
             eigendecompose(fielded)
         with mock.patch.object(spectral, "_exchangeable_levels", return_value=None):
-            with pytest.raises(CapacityError, match="128 states exceed the dense cap of 64"):
+            with pytest.raises(CapacityError, match=r"128 x 128 entries exceed"):
                 eigendecompose(low_rank)
-        assert eigendecompose(cw) == want_spec
+        for k in (None, 33):
+            with pytest.raises(CapacityError, match=rf"128 x {k or 128} entries exceed"):
+                eigendecompose(cw, k)
+        assert not sector.called
+        for k, want in want_spec.items():
+            assert eigendecompose(cw, k) == want
         got = evolve_distribution(cw, mu0, 100.0)
     assert not toarray.called
+    assert sector.call_count == len(want_spec)
     assert tv_distance(got, want_mu) <= 1e-10
 
 
