@@ -258,13 +258,13 @@ def _exp_balance_concentration(
     seeds, runner, *, n=8, k=4, m=(50, 200, 800, 3200), redraws=200,
     slope_window=(-0.65, -0.35), model=None,
 ):
-    if k < 2:
-        raise ValueError("balance-concentration parameter 'k' must be >= 2")
     if redraws < 1:
         raise ValueError("balance-concentration parameter 'redraws' must be >= 1")
     if min(m) < 1 or len(set(m)) < 2:
         raise ValueError("balance-concentration parameter 'm' needs 2 distinct sizes >= 1")
     model = _ising_fixture(n) if model is None else load_ising_model(Path(model).read_text())
+    if not 2 <= k <= 2**model.n:
+        raise ValueError(f"balance-concentration parameter 'k' must be in 2..2^n = {2**model.n}")
     spectrum = eigendecompose(build_glauber_generator(exact_distribution(model)), k)
     base_seed = seeds[0]
 
@@ -293,8 +293,8 @@ def _exp_balance_concentration(
 
 
 def _exp_cw_gap_scaling(seeds, runner, *, n=(5, 7, 9, 11), beta=1.5, ratio_cap=0.7):
-    if len(set(n)) < 2:
-        raise ValueError("cw-gap-scaling parameter 'n' needs 2 distinct sizes")
+    if len(set(n)) < 2 or min(n) < 2:
+        raise ValueError("cw-gap-scaling parameter 'n' needs 2 distinct sizes >= 2")
 
     def point(size):
         spec = eigendecompose(

@@ -233,8 +233,8 @@ def _cell_log_masses(split: SpectralSplit, coords: np.ndarray, mesh: float) -> n
 
 
 def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
-    """Grid coordinates, normalized weights, the log of the raw net mass and
-    the per-cell log masses of the mesh grid cells within the radius."""
+    """Grid coordinates, normalized weights and the log of the raw net mass
+    of the mesh grid cells within the radius."""
     r = split.r
     steps = math.floor(radius / mesh)
     if (2 * steps + 1) ** r > 8 * MAX_FIELDS:
@@ -245,7 +245,7 @@ def _grid_weights(split: SpectralSplit, radius: float, mesh: float):
     if coords.shape[0] > MAX_FIELDS:
         raise CapacityError(f"{coords.shape[0]} fields exceed the {MAX_FIELDS} cap")
     log_cells = _cell_log_masses(split, coords, mesh)
-    return coords, _softmax(log_cells), float(_logsumexp(log_cells)), log_cells
+    return coords, _softmax(log_cells), float(_logsumexp(log_cells))
 
 
 def _tail_to_bulk(split: SpectralSplit, radius: float, scale: float, log_bulk: float) -> float:
@@ -311,7 +311,7 @@ def build_field_net(
         )
     radius = _net_radius(split, scale)
     for _ in range(7):
-        coords, weights, log_bulk, _ = _grid_weights(split, radius, mesh)
+        coords, weights, log_bulk = _grid_weights(split, radius, mesh)
         if _tail_to_bulk(split, radius, scale, log_bulk) < 0.25:
             return FieldNet(
                 fields=coords @ split.basis.T, weights=weights, radius=radius, mesh=mesh

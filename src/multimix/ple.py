@@ -34,7 +34,6 @@ from .ising import (
 from .measures import FiniteDistribution, SampleSet, tv_distance
 from .spectral import (
     BalanceStatistic,
-    GeneratorMatrix,
     balance_statistic,
     build_glauber_generator,
     eigendecompose,
@@ -352,15 +351,8 @@ def certify_terminal_tv(
     """Exact TV between the fitted chain's law at the horizon, started from
     mu0, and the truth's stationary law, via the semigroup action of the
     fitted CSR generator, which makes no dense copy."""
-    return _terminal_tv(build_glauber_generator(exact_distribution(fitted)), truth, mu0, horizon)
-
-
-def _terminal_tv(
-    gen: GeneratorMatrix, truth: IsingModel, mu0: FiniteDistribution, horizon: float
-) -> float:
-    """`certify_terminal_tv` given the fitted chain's generator."""
-    terminal = evolve_distribution(gen, mu0, horizon)
-    return tv_distance(terminal, exact_distribution(truth))
+    gen = build_glauber_generator(exact_distribution(fitted))
+    return tv_distance(evolve_distribution(gen, mu0, horizon), exact_distribution(truth))
 
 
 def learn_and_sample(
@@ -390,5 +382,5 @@ def learn_and_sample(
     gen = build_glauber_generator(exact_distribution(report.model))
     mu0 = empirical_distribution(init, truth.n)
     bal = balance_statistic(eigendecompose(gen, 2), mu0, k=2)
-    tv = _terminal_tv(gen, truth, mu0, horizon)
+    tv = tv_distance(evolve_distribution(gen, mu0, horizon), exact_distribution(truth))
     return LearnReport(fit=report, horizon=horizon, tv=tv, exact=True, balance=bal)

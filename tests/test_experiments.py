@@ -574,6 +574,8 @@ def test_balance_concentration_missing_model_exits_2(tmp_path, capsys):
         ("score-robustness", {"eps_sc": [0.0, 0.2, 0.2, 0.5]}, "eps_sc"),
         ("score-robustness", {"eps_sc": [-0.2, 0.0, 0.5]}, "eps_sc"),
         ("balance-concentration", {"k": 1}, "k"),
+        ("cw-gap-scaling", {"n": [1, 2]}, "n"),
+        ("balance-concentration", {"n": 3, "k": 9}, "k"),
     ],
 )
 def test_degenerate_parameters_exit_2_before_any_work(tmp_path, capsys, name, params, key):

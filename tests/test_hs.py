@@ -179,7 +179,7 @@ def test_doubled_net_is_the_final_grid_from_scratch():
     with mock.patch.object(hs, "_grid_weights", wraps=hs._grid_weights) as grid:
         net = build_field_net(split, 1.0, 9)
     assert grid.call_count == 2
-    coords, weights, _, _ = hs._grid_weights(split, net.radius, net.mesh)
+    coords, weights, _ = hs._grid_weights(split, net.radius, net.mesh)
     assert np.array_equal(net.weights, weights)
     assert np.array_equal(net.fields, coords @ split.basis.T)
 
@@ -198,12 +198,13 @@ def test_grid_weights_do_not_depend_on_the_block_size(monkeypatch, model):
     states = split.enumeration[1].size
     monkeypatch.setattr(hs, "_BLOCK_ENTRIES", 1 << 40)
     whole = hs._grid_weights(split, 2.0, 0.2)
+    cells = hs._cell_log_masses(split, whole[0], 0.2)
     for nodes in (8, 20):
         monkeypatch.setattr(hs, "_BLOCK_ENTRIES", nodes * states)
         blocks = hs._grid_weights(split, 2.0, 0.2)
         assert np.array_equal(blocks[1], whole[1])
         assert blocks[2] == whole[2]
-        assert np.array_equal(blocks[3], whole[3])
+        assert np.array_equal(hs._cell_log_masses(split, whole[0], 0.2), cells)
 
 
 def state_cell_log_masses(split, coords, mesh):
@@ -309,7 +310,7 @@ def test_tail_bound_matches_adaptive_quadrature(model, mesh, rank):
     assert split.r == rank
     scale = math.sqrt(model.n)
     radius = hs._net_radius(split, scale)
-    _, _, log_bulk, _ = hs._grid_weights(split, radius, mesh or 0.5 / scale)
+    _, _, log_bulk = hs._grid_weights(split, radius, mesh or 0.5 / scale)
     lam1 = float(split.eigenvalues.max())
     log_w = float(_logsumexp(split.enumeration[1]))
     area = 2.0 * math.pi ** (rank / 2.0) / math.gamma(rank / 2.0)

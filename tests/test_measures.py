@@ -170,9 +170,9 @@ _RECORD_CASES = {
         lambda lhs: ContractionReport(
             times=np.array([0.0, 1.0]),
             lhs=lhs,
-            bound=np.array([1.0, 0.5]),
             epsilon=0.1,
             alpha=0.5,
+            chi0=1.0,
         ),
         [0.9, 0.4],
         [0.9, 0.45],

@@ -1012,11 +1012,36 @@ def test_verify_balance_contraction_stationary_and_degenerate():
     chi0 = chi2_trajectory(spec, mu0, [0.0])[0]
     lam2 = spec.eigenvalues[1]
     assert rep.epsilon == 0.0
-    expected = chi0 * np.exp(-lam2 * np.array([0.0, 1.0, 3.0]))
+    expected = chi0 * np.exp(-2.0 * lam2 * np.array([0.0, 1.0, 3.0]))
     assert np.abs(rep.bound - expected).max() <= 1e-10
     assert rep.holds
-    with pytest.raises(ValueError, match=">= t0"):
-        verify_balance_contraction(spec, mu0, 2, [0.5], t0=1.0)
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        verify_balance_contraction(spec, mu0, 2, [-0.5, 1.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), draws=st.integers(1, 50), seed=st.integers(0, 2**31 - 1))
+def test_contraction_envelope_holds_for_every_order(n, draws, seed):
+    # chi2(mu_t || pi) <= eps^2 + exp(-2 lambda_{k+1} t) chi2(mu0 || pi)
+    # from a data start, at every order k the spectrum admits
+    rng = make_rng(seed)
+    model = random_ising(rng, n)
+    pi = exact_distribution(model)
+    spec = eigendecompose(build_glauber_generator(pi))
+    X = sample_exact(model, draws, seed=seed)
+    mu0 = empirical_distribution(X, n)
+    times = np.array([0.0, 0.3, 1.0, 4.0, 20.0])
+    chi0 = chi2_divergence(mu0, pi)
+    for k in range(1, spec.m):
+        report = verify_balance_contraction(spec, SampleSet(X), k, times)
+        assert report.holds
+        assert report == verify_balance_contraction(spec, mu0, k, times)
+        assert report.chi0 == pytest.approx(chi0, rel=1e-10)
+        assert report.epsilon == balance_statistic(spec, mu0, k).value
+        assert report.chi0 == chi2_trajectory(spec, mu0, [0.0])[0]
+    lam2 = spec.eigenvalues[1]
+    first = verify_balance_contraction(spec, mu0, 1, times)
+    assert first.bound == pytest.approx(first.chi0 * np.exp(-2.0 * lam2 * times), rel=1e-12)
 
 
 def test_balance_statistic_derives_k_and_value():
@@ -1030,19 +1055,23 @@ def test_balance_statistic_derives_k_and_value():
 
 
 def test_contraction_report_refuses_incoherent_input_by_name():
-    good = dict(times=[0.0, 1.0], lhs=[1.0, 0.5], bound=[1.0, 0.6], epsilon=0.1, alpha=0.5)
+    good = dict(times=[0.0, 1.0], lhs=[1.0, 0.3], epsilon=0.1, alpha=0.5, chi0=1.0)
     assert [f.name for f in dataclasses.fields(ContractionReport)] == list(good)
-    assert ContractionReport(**good).holds is True
-    assert ContractionReport(**{**good, "lhs": [1.0, 0.7]}).holds is False
+    report = ContractionReport(**good)
+    assert np.array_equal(report.bound, 0.1**2 + np.exp([0.0, -1.0]))
+    assert report.holds is True
+    assert ContractionReport(**{**good, "lhs": [1.0, 0.4]}).holds is False
     bad = [
-        ({"lhs": [1.0], "bound": [1.0, 2.0, 3.0]}, "1-D arrays of one length"),
+        ({"lhs": [1.0]}, "1-D arrays of one length"),
         ({"times": [[0.0, 1.0]]}, "1-D arrays of one length"),
         ({"epsilon": -1.0}, "epsilon must be finite"),
         ({"epsilon": float("inf")}, "epsilon must be finite"),
+        ({"chi0": -1e-6}, "chi0 must be finite"),
+        ({"chi0": float("nan")}, "chi0 must be finite"),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"alpha": -1e-6}, "alpha must be finite"),
         ({"lhs": [1.0, float("nan")]}, "must be finite"),
-        ({"bound": [1.0, float("inf")]}, "must be finite"),
+        ({"times": [0.0, float("inf")]}, "must be finite"),
     ]
     for change, message in bad:
         with pytest.raises(ValueError, match=message):
